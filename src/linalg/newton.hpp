@@ -70,7 +70,6 @@ void newton_invert_into(Matrix<T>& out, const Matrix<T>& a,
 template <typename T>
 Matrix<T> newton_invert(const Matrix<T>& a, Matrix<T> v0, std::size_t iters) {
   if (!a.is_square() || !v0.same_shape(a)) {
-    // kalmmind-lint: allow(RT3) dimension gate on caller-owned buffers; aborts before any iteration touches the output
     throw std::invalid_argument("newton_invert: dimension mismatch");
   }
   Matrix<T> scratch;

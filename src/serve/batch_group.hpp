@@ -23,19 +23,22 @@
 // linalg/ops.hpp and linalg/simd/simd.hpp), so a batched decode is
 // bit-identical to the solo path at any fixed dispatch tier.
 //
-// Scheduling: DecodeServer dispatches a group the way it dispatches a solo
-// session — one consumer at a time, `scheduled` flag at group granularity.
-// Each scheduling quantum runs up to max_batch rounds; a round pops at
-// most one gated bin per member and groups the poppers into cohorts by
-// schedule iteration (members drift apart through quarantine restarts:
-// a restarted stream decodes from iteration 0 while its peers are far
-// ahead — each cohort gets its own fused pass).
+// Scheduling: a group is one DecodeServer scheduling unit, exactly like a
+// solo session — one consumer at a time, `scheduled` flag at unit
+// granularity.  Each scheduling quantum runs up to max_batch rounds; a
+// round pops at most one bin per member through the session's own
+// self-healing gate (Session::pop_gated) and groups the poppers into
+// cohorts by schedule iteration (members drift apart through quarantine
+// restarts: a restarted stream decodes from iteration 0 while its peers
+// are far ahead — each cohort gets its own fused pass).  The fused pass
+// only produces each member's next state; Session::note_batch_result then
+// runs the same guard and recorded-decode bookkeeping as a solo step.
 //
-// Fall-out (PR5 semantics preserved):
+// Fall-out:
 //  * divergence -> quarantine/restart handled inside the session's gate,
 //    staying in the group (restart = x0, schedule iteration 0);
 //  * deadline-ladder degradation -> the session swaps to the cheap
-//    constant-gain solo filter and leaves the group (kEject);
+//    constant-gain solo filter and leaves the group;
 //  * schedule window miss (a member so far behind its iteration slid out
 //    of the bounded schedule window) -> the popped bin is requeued and the
 //    session falls back to the solo path, carrying x from the batch state
@@ -121,22 +124,20 @@ class BatchGroup {
       std::lock_guard<std::mutex> lock(members_mu_);
       members = members_;
     }
-    if (members.empty()) return result;
-
     for (std::size_t round = 0; round < max_batch; ++round) {
       cohort_.clear();
       bool consumed_any = false;
       for (auto& m : members) {
         if (!m) continue;
         Vector<double> z;
-        switch (m->batch_pop(&z)) {
-          case BatchPop::kEmpty:
+        switch (m->pop_gated(&z)) {
+          case GatedPop::kEmpty:
             continue;
-          case BatchPop::kDropped:
+          case GatedPop::kDropped:
             ++result.steps;
             consumed_any = true;
             continue;
-          case BatchPop::kDecode:
+          case GatedPop::kDecode:
             break;
         }
         consumed_any = true;
@@ -233,28 +234,19 @@ class BatchGroup {
     const double per_step =
         std::chrono::duration<double>(t1 - t0).count() / double(m);
 
-    telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
-    const bool tracing = tracer.enabled();
     for (std::size_t i = 0; i < m; ++i) {
       Session* session = cohort_[begin + i].session;
       // kalmmind-lint: allow(RT1,RT2) per-member result handoff takes the session's own lock, uncontended while the session is batched; the divergence branches inside (quarantine, postmortem) are the self-healing slow path
-      const BatchVerdict verdict = session->note_batch_result(
-          entry, xn_block_.row(i), per_step, recorder);
+      const bool degraded = session->note_batch_result(
+          entry, xn_block_.row(i), t0, per_step, recorder);
       ++result->steps;
-      if (tracing) {
-        // kalmmind-lint: allow(RT1,RT2) span emission runs only when tracing is enabled; production serving traces off, and the tracer lock is the audited cost of turning it on
-        tracer.complete("serve.step", "serve", tracer.to_us(t0),
-                        per_step * 1e6,
-                        "\"session\":" + std::to_string(session->id()) +
-                            ",\"batched\":true");
-      }
-      if (verdict == BatchVerdict::kEject) {
+      if (degraded) {
         if (telemetry::enabled()) {
           auto& blackbox = telemetry::FlightRecorder::global();
           blackbox.record(telemetry::FlightEventKind::kBatchEject,
                           session->id(), 0, n, 0.0, "degraded");
         }
-        // kalmmind-lint: allow(RT1,RT2) an eject verdict is terminal for the member: surgery happens after its last realtime step
+        // kalmmind-lint: allow(RT1,RT2) a degraded member's ejection is terminal: surgery happens after its last realtime step
         drop_member(session->id(), result, members);
       }
     }

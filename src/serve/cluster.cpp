@@ -92,6 +92,16 @@ struct ShardedDecodeServer::Route {
   SessionStatsSnapshot final_stats;
 };
 
+// One route leaving a shard, as drain or failover prepared it for the
+// shared route loop (evacuate_locked).
+struct ShardedDecodeServer::Evacuee {
+  SessionId id = kInvalidSession;
+  Route* route = nullptr;
+  Status status = Status::Ok();       // not ok: the route cannot move
+  std::deque<Vector<double>> queued;  // undecoded tail to resubmit in order
+  SessionStatsSnapshot final_stats;   // the route's stats if it dies
+};
+
 ShardedDecodeServer::ShardedDecodeServer(ClusterOptions options,
                                          Status* status)
     : options_(std::move(options)) {
@@ -105,10 +115,7 @@ ShardedDecodeServer::ShardedDecodeServer(ClusterOptions options,
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-    ServerOptions so = options_.shard;
-    so.workers = ServerOptions::kManual;  // the cluster owns pumping
-    so.session_id_base = (next_id_base_.fetch_add(1) << 32) | 1;
-    shard->server = std::make_unique<DecodeServer>(so);
+    shard->server = new_incarnation();
     shards_.push_back(std::move(shard));
   }
   // Placement ring: vnodes per shard, points from the deterministic mixer.
@@ -156,6 +163,13 @@ std::size_t ShardedDecodeServer::place(std::uint64_t key,
   return shards_.size();
 }
 
+std::unique_ptr<DecodeServer> ShardedDecodeServer::new_incarnation() {
+  ServerOptions so = options_.shard;
+  so.workers = ServerOptions::kManual;  // the cluster owns pumping
+  so.session_id_base = (next_id_base_.fetch_add(1) << 32) | 1;
+  return std::make_unique<DecodeServer>(so);
+}
+
 void ShardedDecodeServer::quiesce(Shard& shard) {
   shard.paused.store(true);
   // pump() increments inflight *before* re-checking paused, so once every
@@ -163,17 +177,12 @@ void ShardedDecodeServer::quiesce(Shard& shard) {
   while (shard.inflight.load() != 0) std::this_thread::yield();
 }
 
-void ShardedDecodeServer::resume(Shard& shard) { shard.paused.store(false); }
-
 void ShardedDecodeServer::rebuild_locked(Shard& shard) {
   // Caller holds admin_mu_ and has quiesced the shard.  The old
   // incarnation's destructor counts any remaining queued bins as discarded
   // (lossless drains have already stolen their queues).
   shard.server.reset();
-  ServerOptions so = options_.shard;
-  so.workers = ServerOptions::kManual;
-  so.session_id_base = (next_id_base_.fetch_add(1) << 32) | 1;
-  shard.server = std::make_unique<DecodeServer>(so);
+  shard.server = new_incarnation();
   ++shard.generation;
   shard.state = ShardState::kHealthy;
   shard.bad_ticks = 0;
@@ -366,14 +375,8 @@ std::size_t ShardedDecodeServer::pump() {
     if (!shard.paused.load() && !shard.fenced.load()) {
       steps += shard.server->poll();
       // Refresh the admission estimate while we are safely inside the
-      // shard (this is what re-admits a drained shard: hysteresis clears
-      // only below the low watermark).
-      const std::size_t queued = shard.server->queued_now();
-      std::lock_guard<std::mutex> lock(shard.adm_mu);
-      shard.base_queued = queued;
-      shard.accepted_since = 0;
-      if (shard.shedding && queued <= options_.low_watermark)
-        shard.shedding = false;
+      // shard (this is what re-admits a drained shard).
+      refresh_admission(shard, shard.server->queued_now());
     }
     shard.inflight.fetch_sub(1);
   }
@@ -390,19 +393,38 @@ void ShardedDecodeServer::drain() {
         shard.server->drain();
         const std::size_t queued = shard.server->queued_now();
         if (queued != 0) idle = false;
-        // Same admission refresh as pump(): a fully drained shard must
-        // re-admit (and its pending estimate read zero) without needing a
-        // separate pump() pass.
-        std::lock_guard<std::mutex> lock(shard.adm_mu);
-        shard.base_queued = queued;
-        shard.accepted_since = 0;
-        if (shard.shedding && queued <= options_.low_watermark)
-          shard.shedding = false;
+        // A fully drained shard must re-admit (and its pending estimate
+        // read zero) without needing a separate pump() pass.
+        refresh_admission(shard, queued);
       }
       shard.inflight.fetch_sub(1);
     }
     if (idle) return;
   }
+}
+
+void ShardedDecodeServer::refresh_admission(Shard& shard,
+                                            std::size_t queued) {
+  // Watermark hysteresis: shed from high_watermark until the shard drains
+  // to low_watermark.
+  std::lock_guard<std::mutex> lock(shard.adm_mu);
+  shard.base_queued = queued;
+  shard.accepted_since = 0;
+  if (shard.shedding && queued <= options_.low_watermark)
+    shard.shedding = false;
+  else if (!shard.shedding && queued >= options_.high_watermark)
+    shard.shedding = true;
+}
+
+std::vector<std::pair<SessionId, ShardedDecodeServer::Route*>>
+ShardedDecodeServer::live_routes(std::size_t shard) const {
+  std::lock_guard<std::mutex> lock(routes_mu_);
+  std::vector<std::pair<SessionId, Route*>> live;
+  live.reserve(routes_.size());
+  for (const auto& [id, route] : routes_)
+    if (!route->dead && (shard == kAllShards || route->shard == shard))
+      live.emplace_back(id, route.get());
+  return live;
 }
 
 [[nodiscard]] Status ShardedDecodeServer::checkpoint_route(SessionId,
@@ -447,15 +469,8 @@ void ShardedDecodeServer::drain() {
 
 std::size_t ShardedDecodeServer::checkpoint_all() {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  std::vector<std::pair<SessionId, Route*>> live;
-  {
-    std::lock_guard<std::mutex> lock(routes_mu_);
-    live.reserve(routes_.size());
-    for (auto& [id, route] : routes_)
-      if (!route->dead) live.emplace_back(id, route.get());
-  }
   std::size_t ok = 0;
-  for (auto& [id, route] : live)
+  for (auto& [id, route] : live_routes(kAllShards))
     if (checkpoint_route(id, *route).ok()) ++ok;
   return ok;
 }
@@ -498,15 +513,8 @@ void ShardedDecodeServer::reap_routes_locked() {
       shard.paused.store(was_paused);
     }
     std::lock_guard<std::mutex> lock(routes_mu_);
-    retired_.submitted += route->accepted;
-    retired_.rejected_overload += route->rejected_overload;
-    retired_.rejected_full += route->rejected_full;
-    retired_.decoded += s.steps;
-    retired_.invalid_steps += s.invalid_steps;
-    retired_.quarantine_dropped += s.quarantine_dropped;
-    retired_.dropped += s.dropped;
-    retired_.discarded += s.discarded + route->discarded_failover;
-    ++retired_.routes;
+    fold_route(retired_, *route, s);
+    ++retired_.sessions_reaped;
     routes_.erase(id);
   }
 }
@@ -514,7 +522,7 @@ void ShardedDecodeServer::reap_routes_locked() {
 bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
                                         std::size_t target,
                                         const char* reason,
-                                        std::deque<Vector<double>>* queued) {
+                                        std::deque<Vector<double>>& queued) {
   // admin_mu_ held.  The stored snapshot (or a synthesized iteration-0 one
   // for streams never checkpointed) is replayed on the target shard.
   SessionSnapshot snap;
@@ -538,9 +546,7 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
   // Replay the stolen undecoded tail, in order, before any client submit
   // can reach the new incarnation (the route still points at the fenced
   // source until the rewrite below).
-  if (queued)
-    for (auto& z : *queued)
-      shards_[target]->server->submit(local, std::move(z));
+  for (auto& z : queued) shards_[target]->server->submit(local, std::move(z));
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     route.shard = target;
@@ -570,69 +576,28 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
   source.fenced.store(true);
   quiesce(source);
 
-  // Collect this shard's routes.
-  std::vector<std::pair<SessionId, Route*>> moving;
-  {
-    std::lock_guard<std::mutex> lock(routes_mu_);
-    for (auto& [id, route] : routes_)
-      if (!route->dead && route->shard == index)
-        moving.emplace_back(id, route.get());
-  }
-
-  Status worst = Status::Ok();
-  for (auto& [id, route] : moving) {
+  std::vector<Evacuee> moving = evacuees(index);
+  for (Evacuee& e : moving) {
     // Fresh snapshot at the quiesced edge: the session is idle, so the
     // checkpoint is exactly its latest decode and the stolen queue is
-    // exactly its undecoded tail — the migration is lossless.
-    const Status ck = checkpoint_route(id, *route);
-    auto queued = source.server->steal_queue(route->local);
-    if (!ck.ok()) {
-      // Non-replayable stream (degraded/ejected): it cannot move.  Capture
-      // its final stats, count its stolen queue as discarded, and mark the
-      // route dead — nothing vanishes silently.
-      route->final_stats = source.server->session_stats(route->local);
-      route->final_stats.discarded += queued.size();
-      {
-        std::lock_guard<std::mutex> lock(routes_mu_);
-        route->dead = true;
-      }
-      worst = ck;
-      continue;
-    }
-    const std::size_t target = place(id, index);
-    if (target >= shards_.size() ||
-        !restore_route(id, *route, target, "drain", &queued)) {
-      // No shard can host it right now: same dead-route accounting.
-      route->final_stats = source.server->session_stats(route->local);
-      route->final_stats.discarded += queued.size();
-      {
-        std::lock_guard<std::mutex> lock(routes_mu_);
-        route->dead = true;
-      }
-      worst = Status::Unavailable("cluster: no shard could host a session");
-      continue;
-    }
-    // closed/close_mode are written by close_session under routes_mu_
-    // (concurrently — a close deferred by our fence), so re-read them
-    // under it.  Reading after the route rewrite means a deferral either
-    // lands here or applied itself directly to the new incarnation.
-    bool deferred_close = false;
-    CloseMode deferred_mode = CloseMode::kDrain;
-    {
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      deferred_close = route->closed;
-      deferred_mode = route->close_mode;
-    }
-    if (deferred_close)
-      shards_[route->shard]->server->close_session(route->local,
-                                                  deferred_mode);
-    {
-      std::lock_guard<std::mutex> lock(source.adm_mu);
-      ++source.migrations_out;
-    }
+    // exactly its undecoded tail — the migration is lossless.  A stream
+    // whose checkpoint fails (degraded/ejected) cannot move.  Should it
+    // die, its stolen queue counts as discarded — nothing vanishes
+    // silently.
+    e.status = checkpoint_route(e.id, *e.route);
+    e.queued = source.server->steal_queue(e.route->local);
+    e.final_stats = source.server->session_stats(e.route->local);
+    e.final_stats.discarded += e.queued.size();
   }
-
+  const std::size_t moved = evacuate_locked(index, "drain", moving);
+  {
+    std::lock_guard<std::mutex> lock(source.adm_mu);
+    source.migrations_out += moved;
+  }
   rebuild_locked(source);
+  Status worst = Status::Ok();
+  for (const Evacuee& e : moving)
+    if (!e.status.ok()) worst = e.status;
   return worst;
 }
 
@@ -647,71 +612,90 @@ void ShardedDecodeServer::failover_shard_locked(std::size_t index,
       telemetry::FlightEventKind::kShardQuarantined, 0, 0, index, 0.0,
       reason);
 
-  std::vector<std::pair<SessionId, Route*>> moving;
-  {
-    std::lock_guard<std::mutex> lock(routes_mu_);
-    for (auto& [id, route] : routes_)
-      if (!route->dead && route->shard == index)
-        moving.emplace_back(id, route.get());
-  }
-
-  // The shard is treated as dead: its live queues and post-snapshot decodes
-  // are unrecoverable.  Tear it down first (the DecodeServer destructor
-  // counts the queue remnants into the global discarded telemetry), then
-  // restore every route from its last snapshot on the survivors.
-  for (auto& [id, route] : moving) {
+  std::vector<Evacuee> moving = evacuees(index);
+  for (Evacuee& e : moving) {
+    Route& route = *e.route;
     // Postmortem evidence before the journal-owning incarnation goes away.
-    telemetry::FlightRecorder::global().postmortem(id, "shard_failover");
-  }
-  rebuild_locked(source);
-
-  for (auto& [id, route] : moving) {
+    telemetry::FlightRecorder::global().postmortem(e.id, "shard_failover");
     // Bins the cluster accepted that neither the snapshot's counters nor a
     // resubmission can account for: decoded-after-snapshot or queued at
     // death.  The client's resubmission cursor (next_expected_bin) starts
     // them over; acknowledging them here keeps conservation closed.
     const std::uint64_t accounted =
-        (route->has_snap
-             ? route->snap.steps + route->snap.invalid_steps +
-                   route->snap.quarantine_dropped + route->snap.dropped +
-                   route->snap.discarded
+        (route.has_snap
+             ? route.snap.steps + route.snap.invalid_steps +
+                   route.snap.quarantine_dropped + route.snap.dropped +
+                   route.snap.discarded
              : 0) +
-        route->discarded_failover;
-    if (route->accepted > accounted)
-      route->discarded_failover += route->accepted - accounted;
-
-    const std::size_t target = place(id, index);
-    if (target >= shards_.size() ||
-        !restore_route(id, *route, target, "failover", nullptr)) {
-      // Restore rejected (e.g. non-batchable config).  The stream's
-      // surviving history is its last snapshot: synthesize final stats
-      // from the carried counters so conservation stays closed.
-      SessionStatsSnapshot final_stats;
-      if (route->has_snap) {
-        final_stats.steps = route->snap.steps;
-        final_stats.invalid_steps = route->snap.invalid_steps;
-        final_stats.quarantine_dropped = route->snap.quarantine_dropped;
-        final_stats.dropped = route->snap.dropped;
-        final_stats.discarded = route->snap.discarded;
-      }
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      route->dead = true;
-      route->final_stats = final_stats;
-      continue;
+        route.discarded_failover;
+    if (route.accepted > accounted)
+      route.discarded_failover += route.accepted - accounted;
+    // If no shard takes the route (e.g. a non-batchable config), its
+    // surviving history is its last snapshot: final stats come from the
+    // carried counters so conservation stays closed.
+    if (route.has_snap) {
+      e.final_stats.steps = route.snap.steps;
+      e.final_stats.invalid_steps = route.snap.invalid_steps;
+      e.final_stats.quarantine_dropped = route.snap.quarantine_dropped;
+      e.final_stats.dropped = route.snap.dropped;
+      e.final_stats.discarded = route.snap.discarded;
     }
-    // Same deferred-close re-read as the drain path (routes_mu_ guards
-    // closed/close_mode against a concurrent close_session).
-    bool deferred_close = false;
-    CloseMode deferred_mode = CloseMode::kDrain;
-    {
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      deferred_close = route->closed;
-      deferred_mode = route->close_mode;
-    }
-    if (deferred_close)
-      shards_[route->shard]->server->close_session(route->local,
-                                                  deferred_mode);
   }
+  // The shard is treated as dead: its live queues and post-snapshot decodes
+  // are unrecoverable.  Tear it down first (the DecodeServer destructor
+  // counts the queue remnants into the global discarded telemetry), then
+  // restore every route from its last snapshot on the survivors.
+  rebuild_locked(source);
+  (void)evacuate_locked(index, "failover", moving);
+}
+
+std::vector<ShardedDecodeServer::Evacuee> ShardedDecodeServer::evacuees(
+    std::size_t shard) const {
+  std::vector<Evacuee> out;
+  for (const auto& [id, route] : live_routes(shard)) {
+    out.emplace_back();
+    out.back().id = id;
+    out.back().route = route;
+  }
+  return out;
+}
+
+std::size_t ShardedDecodeServer::evacuate_locked(
+    std::size_t index, const char* reason, std::vector<Evacuee>& moving) {
+  std::size_t moved = 0;
+  for (Evacuee& e : moving) {
+    Route& route = *e.route;
+    if (e.status.ok()) {
+      const std::size_t target = place(e.id, index);
+      if (target < shards_.size() &&
+          restore_route(e.id, route, target, reason, e.queued)) {
+        // closed/close_mode are written by close_session under routes_mu_
+        // (concurrently — a close deferred by our fence), so re-read them
+        // under it.  Reading after the route rewrite means a deferral
+        // either lands here or applied itself directly to the new
+        // incarnation.
+        bool deferred_close = false;
+        CloseMode deferred_mode = CloseMode::kDrain;
+        {
+          std::lock_guard<std::mutex> lock(routes_mu_);
+          deferred_close = route.closed;
+          deferred_mode = route.close_mode;
+        }
+        if (deferred_close)
+          shards_[route.shard]->server->close_session(route.local,
+                                                      deferred_mode);
+        ++moved;
+        continue;
+      }
+      e.status = Status::Unavailable("cluster: no shard could host a session");
+    }
+    // Dead-route accounting: the stream stops here, with the final stats
+    // its evacuation prepared.
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    route.dead = true;
+    route.final_stats = std::move(e.final_stats);
+  }
+  return moved;
 }
 
 void ShardedDecodeServer::tick() {
@@ -724,16 +708,7 @@ void ShardedDecodeServer::tick() {
       continue;
     const ServerStats s = shard.server->stats();
 
-    // Watermark refresh (the control-plane half of the hysteresis loop).
-    {
-      std::lock_guard<std::mutex> lock(shard.adm_mu);
-      shard.base_queued = s.queued;
-      shard.accepted_since = 0;
-      if (shard.shedding && s.queued <= options_.low_watermark)
-        shard.shedding = false;
-      else if (!shard.shedding && s.queued >= options_.high_watermark)
-        shard.shedding = true;
-    }
+    refresh_admission(shard, s.queued);
 
     const std::size_t steps_delta = s.total_steps - shard.prev_steps;
     const std::size_t restarts_delta = s.total_restarts - shard.prev_restarts;
@@ -795,14 +770,7 @@ void ShardedDecodeServer::tick() {
 
   // Cadence checkpoints: durable state for the next failover.
   if (options_.checkpoint_every_bins > 0) {
-    std::vector<std::pair<SessionId, Route*>> live;
-    {
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      live.reserve(routes_.size());
-      for (auto& [id, route] : routes_)
-        if (!route->dead) live.emplace_back(id, route.get());
-    }
-    for (auto& [id, route] : live) {
+    for (auto& [id, route] : live_routes(kAllShards)) {
       const auto s =
           shards_[route->shard]->server->session_stats(route->local);
       const std::size_t since =
@@ -884,9 +852,27 @@ ShardState ShardedDecodeServer::shard_state(std::size_t shard) const {
                                 : ShardState::kQuarantined;
 }
 
+void ShardedDecodeServer::fold_route(ClusterStats& out, const Route& route,
+                                     const SessionStatsSnapshot& s) {
+  out.submitted += route.accepted;
+  out.rejected_overload += route.rejected_overload;
+  out.rejected_full += route.rejected_full;
+  out.decoded += s.steps;
+  out.invalid_steps += s.invalid_steps;
+  out.quarantine_dropped += s.quarantine_dropped;
+  out.dropped += s.dropped;
+  out.discarded += s.discarded + route.discarded_failover;
+  out.queued += route.dead ? 0 : s.queue_depth;  // zero at reap time
+}
+
 ClusterStats ShardedDecodeServer::stats() const {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  ClusterStats out;
+  // Sessions reaped by tick() live on as aggregate counters: the
+  // conservation law closes over retired totals + live routes.
+  ClusterStats out = [this] {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    return retired_;
+  }();
   out.shards = shards_.size();
   out.snapshots_taken = snapshots_taken_;
   out.sessions_migrated = sessions_migrated_;
@@ -915,33 +901,13 @@ ClusterStats ShardedDecodeServer::stats() const {
   }
 
   std::lock_guard<std::mutex> lock(routes_mu_);
-  // Sessions reaped by tick() live on as aggregate counters: the
-  // conservation law closes over live routes + retired totals.
-  out.sessions_reaped = retired_.routes;
-  out.submitted += retired_.submitted;
-  out.rejected_overload += retired_.rejected_overload;
-  out.rejected_full += retired_.rejected_full;
-  out.decoded += retired_.decoded;
-  out.invalid_steps += retired_.invalid_steps;
-  out.quarantine_dropped += retired_.quarantine_dropped;
-  out.dropped += retired_.dropped;
-  out.discarded += retired_.discarded;
   for (const auto& [id, route_ptr] : routes_) {
     const Route& route = *route_ptr;
-    out.submitted += route.accepted;
-    out.rejected_overload += route.rejected_overload;
-    out.rejected_full += route.rejected_full;
-    out.discarded += route.discarded_failover;
-    SessionStatsSnapshot s =
-        route.dead ? route.final_stats
-                   : shards_[route.shard]->server->session_stats(route.local);
     if (!route.dead && !route.closed) ++out.sessions;
-    out.decoded += s.steps;
-    out.invalid_steps += s.invalid_steps;
-    out.quarantine_dropped += s.quarantine_dropped;
-    out.dropped += s.dropped;
-    out.discarded += s.discarded;
-    out.queued += route.dead ? 0 : s.queue_depth;
+    fold_route(out, route,
+               route.dead ? route.final_stats
+                          : shards_[route.shard]->server->session_stats(
+                                route.local));
   }
   return out;
 }

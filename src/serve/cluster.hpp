@@ -35,6 +35,9 @@
 //    drain/quarantine ->   rebuild: fresh DecodeServer incarnation, shard
 //    healthy               rejoins the placement ring
 // fail_shard (KALMMIND_FAULTS) jumps straight to the quarantine rung.
+// Drain and failover share one evacuation routine; they differ only in
+// what they feed it (a fresh checkpoint plus the stolen queue, or the last
+// snapshot plus the loss it counts).
 //
 // Failover is bit-exact: a restored session pulls gains from the target
 // shard's GainScheduleCache at exactly the snapshot iteration, so its
@@ -263,6 +266,7 @@ class ShardedDecodeServer {
  private:
   struct Shard;
   struct Route;
+  struct Evacuee;
 
   // submit() past the fence check, inside the shard's inflight guard:
   // admission control + the actual enqueue.
@@ -275,7 +279,8 @@ class ShardedDecodeServer {
   std::size_t place(std::uint64_t key, std::size_t exclude) const;
   // Pause the shard and wait until no pump() is inside it.
   void quiesce(Shard& shard);
-  void resume(Shard& shard);
+  // A fresh manual-mode shard server with its own session-id range.
+  std::unique_ptr<DecodeServer> new_incarnation();
   // Replace the shard's DecodeServer with a fresh incarnation.
   void rebuild_locked(Shard& shard);
   // Lossless migration of every session off `shard` (admin_mu_ held).
@@ -283,13 +288,25 @@ class ShardedDecodeServer {
   // Snapshot-replay failover of every session off `shard` (admin_mu_
   // held); queued and post-snapshot bins are counted discarded.
   void failover_shard_locked(std::size_t shard, const char* reason);
-  // Move one route to `target` from its stored snapshot; `queued` (may be
-  // null) is the stolen undecoded tail, resubmitted to the new incarnation
-  // *before* the route is rewritten so a concurrent client submit cannot
-  // jump ahead of it.  Returns false if the restore was rejected.
-  // routes_mu_ must NOT be held.
+  // The live routes of `shard` (kAllShards: of every shard), and the same
+  // set as evacuees for drain/failover.
+  static constexpr std::size_t kAllShards = ~std::size_t(0);
+  std::vector<std::pair<SessionId, Route*>> live_routes(
+      std::size_t shard) const;
+  std::vector<Evacuee> evacuees(std::size_t shard) const;
+  // The route loop drain and failover share (admin_mu_ held, `shard`
+  // fenced): place each evacuee whose status is ok on a peer and restore
+  // it, re-applying a close deferred by the fence; every other evacuee
+  // dies with its prepared final stats.  Returns how many routes moved.
+  std::size_t evacuate_locked(std::size_t shard, const char* reason,
+                              std::vector<Evacuee>& moving);
+  // Move one route to `target` from its stored snapshot; `queued` is the
+  // stolen undecoded tail (empty on failover), resubmitted to the new
+  // incarnation *before* the route is rewritten so a concurrent client
+  // submit cannot jump ahead of it.  Returns false if the restore was
+  // rejected.  routes_mu_ must NOT be held.
   bool restore_route(SessionId id, Route& route, std::size_t target,
-                     const char* reason, std::deque<Vector<double>>* queued);
+                     const char* reason, std::deque<Vector<double>>& queued);
   // Take one snapshot + prefix copy for the route (routes_mu_ held via
   // caller contract; see implementation).
   [[nodiscard]] Status checkpoint_route(SessionId id, Route& route);
@@ -297,7 +314,12 @@ class ShardedDecodeServer {
   // retired_ and erase them (admin_mu_ held) — routes_ stays bounded on a
   // long-running cluster.
   void reap_routes_locked();
-  void refresh_admission(Shard& shard);
+  // Add one route's bin counters (its current stats `s`) into `out`.
+  static void fold_route(ClusterStats& out, const Route& route,
+                         const SessionStatsSnapshot& s);
+  // Reset the shard's admission estimate to a fresh queued-bin count and
+  // apply the watermark hysteresis (pump, drain and tick).
+  void refresh_admission(Shard& shard, std::size_t queued);
 
   ClusterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -307,21 +329,11 @@ class ShardedDecodeServer {
   mutable std::mutex routes_mu_;  // guards routes_, next_session_, retired_
   std::unordered_map<SessionId, std::unique_ptr<Route>> routes_;
   SessionId next_session_ = 1;
-  // Counters folded out of reaped routes: the conservation law
-  // (decoded + ... == submitted) stays closed after the Route objects are
-  // gone.  queued is always zero at reap time, so it has no slot here.
-  struct RetiredTotals {
-    std::uint64_t submitted = 0;
-    std::uint64_t rejected_overload = 0;
-    std::uint64_t rejected_full = 0;
-    std::uint64_t decoded = 0;
-    std::uint64_t invalid_steps = 0;
-    std::uint64_t quarantine_dropped = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t discarded = 0;
-    std::uint64_t routes = 0;  // how many sessions were reaped
-  };
-  RetiredTotals retired_;
+  // Bin counters folded out of reaped routes (fold_route) plus
+  // sessions_reaped; every other field stays at its default.  The
+  // conservation law (decoded + ... == submitted) stays closed after the
+  // Route objects are gone.
+  ClusterStats retired_;
 
   // Serializes control-plane operations (tick, drain, failover, rebuild).
   mutable std::mutex admin_mu_;

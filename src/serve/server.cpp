@@ -50,79 +50,145 @@ DecodeServer::~DecodeServer() {
   // Account for the bins this teardown abandons: every queued-but-undecoded
   // bin is counted into its session's discarded tally and the process-wide
   // kalmmind.serve.discarded_total counter (the close_session satellite —
-  // nothing vanishes silently).
+  // nothing vanishes silently).  Sessions still open leave the process-wide
+  // sessions_open gauge.
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, slot] : slots_) {
-    if (slot.session) slot.session->discard_queue();
+    slot.session->discard_queue();
+    if (!slot.closed) sessions_open_gauge().add(-1.0);
   }
 }
 
 SessionId DecodeServer::open_session(SessionConfig config, Status* status) {
-  if (Status s = config.check(); !s.ok()) {
-    if (status) *status = s;
+  return admit(std::move(config), nullptr, status);
+}
+
+SessionId DecodeServer::restore_session(SessionConfig config,
+                                        const SessionSnapshot& snap,
+                                        Status* status) {
+  return admit(std::move(config), &snap, status);
+}
+
+bool DecodeServer::batchable(const SessionConfig& config) const {
+  // Health gates read the decoded state, so a health-enabled session's gain
+  // trajectory is measurement-dependent: never batch it.
+  return options_.batching && config.allow_batching &&
+         !config.filter.options.health.enabled;
+}
+
+SessionId DecodeServer::admit(SessionConfig config,
+                              const SessionSnapshot* snap, Status* status) {
+  auto fail = [status](Status why) {
+    if (status) *status = why;
     return kInvalidSession;
+  };
+  if (Status s = config.check(); !s.ok()) return fail(s);
+  if (snap) {
+    if (config.filter.fingerprint() != snap->config_fingerprint)
+      return fail(Status::Invalid(
+          "restore: snapshot fingerprint does not match config"));
+    if (snap->x.size() != config.filter.model.x_dim())
+      return fail(Status::Invalid("restore: state dimension mismatch"));
+    // Bit-exact resumption needs the shared gain schedule: the restored
+    // session pulls K at exactly snap.iteration from the cache, which a solo
+    // filter's freshly-constructed strategy cannot reproduce mid-trajectory.
+    if (!batchable(config))
+      return fail(Status::Invalid(
+          "restore: config is not batchable on this server (bit-exact "
+          "replay needs the shared gain schedule)"));
   }
-  std::shared_ptr<Session> session;
   SessionId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      if (status) *status = Status::Invalid("DecodeServer: shutting down");
-      return kInvalidSession;
+      return fail(snap ? Status::Unavailable("DecodeServer: shutting down")
+                       : Status::Invalid("DecodeServer: shutting down"));
     }
     id = next_id_++;
   }
+  std::shared_ptr<Session> session;
   try {
     session = std::make_shared<Session>(id, std::move(config));
   } catch (const std::invalid_argument&) {
     // config.check() passed, so this is a factory-parameter problem
     // (e.g. sskf/lite without StrategyMatrices::preloaded_inverse).
-    if (status) {
-      *status = Status::Invalid(
-          "SessionConfig: strategy is missing required parameters "
-          "(e.g. sskf/lite need StrategyMatrices::preloaded_inverse)");
+    return fail(Status::Invalid(
+        "SessionConfig: strategy is missing required parameters "
+        "(e.g. sskf/lite need StrategyMatrices::preloaded_inverse)"));
+  }
+  // Acquire the schedule outside mu_: a restore extends a cold schedule to
+  // snap.iteration, which computes that many K/P entries, and the admission
+  // lock must not pay for it.  The flight-session scope attributes the
+  // cache's hit/miss/eviction journal events to the admitting session.
+  std::shared_ptr<kalman::GainSchedule> schedule;
+  const std::size_t iteration = snap ? std::size_t(snap->iteration) : 0;
+  if (batchable(session->config())) {
+    telemetry::ScopedFlightSession flight(id, snap ? snap->steps : 0);
+    schedule = cache_.acquire(session->config().filter);
+    if (snap) {
+      if (!schedule)
+        return fail(
+            Status::Invalid("restore: gain-schedule fingerprint collision"));
+      std::shared_ptr<const kalman::GainSchedule::Entry> entry;
+      if (iteration > 0) {
+        entry = schedule->at(iteration - 1);
+        if (!entry)
+          return fail(Status::Invalid(
+              "restore: iteration already slid out of the schedule window"));
+      }
+      session->prime_restore(*snap, std::move(entry));
     }
-    return kInvalidSession;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Slot& slot = slots_[id];
-    slot.session = std::move(session);
-    try_join_group_locked(slot);
+    Slot slot;
+    slot.session = session;
+    // A fresh session that cannot join (fingerprint collision, slid window)
+    // decodes solo; a restore has no solo fallback.
+    if (!schedule || !join_group_locked(slot, std::move(schedule), iteration)) {
+      if (snap)
+        return fail(Status::Invalid(
+            "restore: live batch group cannot host this snapshot"));
+      slot.unit = std::make_shared<Unit>();
+      slot.unit->session = session;
+    }
+    slots_.emplace(id, std::move(slot));
   }
   sessions_open_gauge().add(1.0);
+  if (snap && telemetry::enabled()) {
+    auto& blackbox = telemetry::FlightRecorder::global();
+    blackbox.record(telemetry::FlightEventKind::kSnapshotRestored, id,
+                    snap->steps, snap->iteration);
+  }
   if (status) *status = Status::Ok();
   return id;
 }
 
-bool DecodeServer::try_join_group_locked(Slot& slot) {
-  const SessionConfig& cfg = slot.session->config();
-  if (!options_.batching || !cfg.allow_batching) return false;
-  // Health gates read the decoded state, so a health-enabled session's gain
-  // trajectory is measurement-dependent: never batch it.
-  if (cfg.filter.options.health.enabled) return false;
-  // The flight-session scope attributes the cache's hit/miss/eviction
-  // journal events to the admitting session.
-  telemetry::ScopedFlightSession flight(slot.session->id(), 0);
-  const std::shared_ptr<kalman::GainSchedule> schedule =
-      cache_.acquire(cfg.filter);
-  if (!schedule) return false;  // fingerprint collision: decode solo
-  GroupSlot& gslot = groups_[schedule->fingerprint()];
-  if (!gslot.group) {
-    gslot.group = std::make_shared<BatchGroup>(schedule);
-  } else if (!(gslot.group->config() == cfg.filter)) {
-    return false;  // collision against a live group: decode solo
+bool DecodeServer::join_group_locked(
+    Slot& slot, std::shared_ptr<kalman::GainSchedule> schedule,
+    std::size_t iteration) {
+  const std::uint64_t key = schedule->fingerprint();
+  auto it = groups_.find(key);
+  if (it != groups_.end()) {
+    const BatchGroup& group = *it->second->group;
+    // A fingerprint collision against a live group, or a stream the group's
+    // window already slid past (it would eject on its first bin).
+    if (!(group.config() == slot.session->config().filter) ||
+        group.schedule()->base() > iteration)
+      return false;
+  } else {
+    if (schedule->base() > iteration) return false;
+    auto unit = std::make_shared<Unit>();
+    unit->group = std::make_shared<BatchGroup>(std::move(schedule));
+    it = groups_.emplace(key, std::move(unit)).first;
   }
-  // A fresh session decodes from schedule iteration 0; if the group's
-  // window already slid past it the member would eject on its first bin.
-  if (gslot.group->schedule()->base() != 0) return false;
   slot.session->enable_batching();
-  gslot.group->add(slot.session);
-  slot.group = gslot.group;
+  it->second->group->add(slot.session);
+  slot.unit = it->second;
   if (telemetry::enabled()) {
     auto& blackbox = telemetry::FlightRecorder::global();
     blackbox.record(telemetry::FlightEventKind::kBatchJoin,
-                    slot.session->id(), 0, schedule->fingerprint());
+                    slot.session->id(), 0, key);
   }
   return true;
 }
@@ -143,15 +209,7 @@ PushResult DecodeServer::submit(SessionId id, Vector<double> z) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = slots_.find(id);
     if (it == slots_.end() || stopping_) return result;
-    Slot& slot = it->second;
-    if (slot.group) {
-      auto git = groups_.find(slot.group->key());
-      if (git != groups_.end() && !git->second.scheduled) {
-        dispatch_group_locked(git->first, git->second);
-      }
-    } else if (!slot.scheduled) {
-      dispatch_locked(id, slot);
-    }
+    if (!it->second.unit->scheduled) dispatch_locked(it->second.unit);
   }
   return result;
 }
@@ -173,21 +231,15 @@ bool DecodeServer::close_session(SessionId id, CloseMode mode) {
   return true;
 }
 
-std::size_t DecodeServer::step_timed(Session& session) {
+BatchGroup::StepResult DecodeServer::step_timed(Session* session,
+                                                BatchGroup* group) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t steps = session.step_pending(options_.max_batch, &latency_);
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  busy_us_.fetch_add(std::uint64_t(us), std::memory_order_relaxed);
-  worker_busy_counter().add(std::uint64_t(us));
-  return steps;
-}
-
-BatchGroup::StepResult DecodeServer::step_timed(BatchGroup& group) {
-  const auto t0 = std::chrono::steady_clock::now();
-  BatchGroup::StepResult result =
-      group.step_pending(options_.max_batch, &latency_);
+  BatchGroup::StepResult result;
+  if (group) {
+    result = group->step_pending(options_.max_batch, &latency_);
+  } else if (session) {
+    result.steps = session->step_pending(options_.max_batch, &latency_);
+  }
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -196,146 +248,86 @@ BatchGroup::StepResult DecodeServer::step_timed(BatchGroup& group) {
   return result;
 }
 
-void DecodeServer::dispatch_locked(SessionId id, Slot& slot) {
-  slot.scheduled = true;
+void DecodeServer::dispatch_locked(std::shared_ptr<Unit> unit) {
+  unit->scheduled = true;
   ++scheduled_count_;
+  enqueue_locked(std::move(unit));
+}
+
+void DecodeServer::enqueue_locked(std::shared_ptr<Unit> unit) {
   if (pool_) {
-    pool_->submit([this, id] { run_session(id); });
+    pool_->submit([this, unit] { run(unit); });
   } else {
-    ready_.push_back({false, id, 0});
+    ready_.push_back(std::move(unit));
   }
 }
 
-void DecodeServer::dispatch_group_locked(std::uint64_t key, GroupSlot& slot) {
-  slot.scheduled = true;
-  ++scheduled_count_;
-  if (pool_) {
-    pool_->submit([this, key] { run_group(key); });
-  } else {
-    ready_.push_back({true, 0, key});
-  }
+void DecodeServer::erase_if_empty_locked(
+    const std::shared_ptr<BatchGroup>& group) {
+  if (!group || group->size() > 0) return;
+  // Only this group's own entry: a same-key successor may already exist.
+  auto it = groups_.find(group->key());
+  if (it != groups_.end() && it->second->group == group) groups_.erase(it);
 }
 
 void DecodeServer::handle_ejections_locked(
+    const std::shared_ptr<BatchGroup>& group,
     const std::vector<SessionId>& ejected) {
   for (SessionId id : ejected) {
     auto it = slots_.find(id);
     if (it == slots_.end()) continue;
     Slot& slot = it->second;
-    slot.group.reset();
-    if (!stopping_ && !slot.scheduled && slot.session->queue_depth() > 0) {
-      dispatch_locked(id, slot);
+    slot.unit = std::make_shared<Unit>();
+    slot.unit->session = slot.session;
+    if (!stopping_ && slot.session->queue_depth() > 0) {
+      dispatch_locked(slot.unit);
     }
   }
+  if (!ejected.empty()) erase_if_empty_locked(group);
 }
 
-void DecodeServer::run_group(std::uint64_t key) {
+std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit) {
+  std::shared_ptr<Session> session;
   std::shared_ptr<BatchGroup> group;
+  bool stopping = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = groups_.find(key);
-    if (it != groups_.end()) group = it->second.group;
+    session = unit->session;
+    group = unit->group;
+    stopping = stopping_;
   }
   BatchGroup::StepResult result;
-  if (group && !stopping_flag()) {
-    result = step_timed(*group);
-  }
+  if (!stopping) result = step_timed(session.get(), group.get());
   std::lock_guard<std::mutex> lock(mu_);
-  handle_ejections_locked(result.ejected);
-  auto it = groups_.find(key);
-  if (it == groups_.end()) return;
-  GroupSlot& slot = it->second;
-  // Same park-or-requeue decision as run_session, at group granularity.
-  if (!stopping_ && group && group->pending()) {
-    if (pool_) {
-      pool_->submit([this, key] { run_group(key); });
-    } else {
-      ready_.push_back({true, 0, key});
-    }
-  } else {
-    slot.scheduled = false;
-    --scheduled_count_;
-    drain_cv_.notify_all();
-  }
-}
-
-void DecodeServer::run_session(SessionId id) {
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = slots_.find(id);
-    if (it != slots_.end()) session = it->second.session;
-  }
-  if (session && !stopping_flag()) {
-    step_timed(*session);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = slots_.find(id);
-  if (it == slots_.end()) return;
-  Slot& slot = it->second;
+  handle_ejections_locked(group, result.ejected);
   // Atomically (under mu_) decide: more work -> stay scheduled and
   // re-dispatch; empty -> park.  submit() checks `scheduled` under the
   // same mutex, so a bin enqueued concurrently is never stranded.
-  if (!stopping_ && session && session->queue_depth() > 0) {
-    if (pool_) {
-      pool_->submit([this, id] { run_session(id); });
-    } else {
-      ready_.push_back({false, id, 0});
-    }
+  bool pending = false;
+  if (group) {
+    pending = group->pending();
+  } else if (unit->session) {
+    pending = unit->session->queue_depth() > 0;
+  }
+  if (!stopping_ && pending) {
+    enqueue_locked(unit);
   } else {
-    slot.scheduled = false;
+    unit->scheduled = false;
     --scheduled_count_;
     drain_cv_.notify_all();
   }
+  return result.steps;
 }
 
 std::size_t DecodeServer::poll() {
-  ReadyItem item;
-  std::shared_ptr<Session> session;
-  std::shared_ptr<BatchGroup> group;
+  std::shared_ptr<Unit> unit;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (ready_.empty()) return 0;
-    item = ready_.front();
+    unit = std::move(ready_.front());
     ready_.pop_front();
-    if (item.is_group) {
-      auto it = groups_.find(item.key);
-      if (it == groups_.end()) return 0;
-      group = it->second.group;
-    } else {
-      auto it = slots_.find(item.id);
-      if (it == slots_.end()) return 0;
-      session = it->second.session;
-    }
   }
-  if (item.is_group) {
-    BatchGroup::StepResult result;
-    if (!stopping_flag()) result = step_timed(*group);
-    std::lock_guard<std::mutex> lock(mu_);
-    handle_ejections_locked(result.ejected);
-    auto it = groups_.find(item.key);
-    if (it == groups_.end()) return result.steps;
-    if (!stopping_ && group->pending()) {
-      ready_.push_back(item);
-    } else {
-      it->second.scheduled = false;
-      --scheduled_count_;
-      drain_cv_.notify_all();
-    }
-    return result.steps;
-  }
-  const std::size_t steps = stopping_flag() ? 0 : step_timed(*session);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = slots_.find(item.id);
-  if (it == slots_.end()) return steps;
-  if (!stopping_ && session->queue_depth() > 0) {
-    ready_.push_back(item);
-  } else {
-    it->second.scheduled = false;
-    --scheduled_count_;
-    drain_cv_.notify_all();
-  }
-  return steps;
+  return run(unit);
 }
 
 void DecodeServer::drain() {
@@ -383,134 +375,25 @@ std::vector<Vector<double>> DecodeServer::trajectory_slice(
   return s;
 }
 
-SessionId DecodeServer::restore_session(SessionConfig config,
-                                        const SessionSnapshot& snap,
-                                        Status* status) {
-  if (Status s = config.check(); !s.ok()) {
-    if (status) *status = s;
-    return kInvalidSession;
-  }
-  if (config.filter.fingerprint() != snap.config_fingerprint) {
-    if (status)
-      *status = Status::Invalid(
-          "restore: snapshot fingerprint does not match config");
-    return kInvalidSession;
-  }
-  if (snap.x.size() != config.filter.model.x_dim()) {
-    if (status)
-      *status = Status::Invalid("restore: state dimension mismatch");
-    return kInvalidSession;
-  }
-  // Bit-exact resumption needs the shared gain schedule: the restored
-  // session pulls K at exactly snap.iteration from the cache, which a solo
-  // filter's freshly-constructed strategy cannot reproduce mid-trajectory.
-  if (!options_.batching || !config.allow_batching ||
-      config.filter.options.health.enabled) {
-    if (status)
-      *status = Status::Invalid(
-          "restore: config is not batchable on this server (bit-exact "
-          "replay needs the shared gain schedule)");
-    return kInvalidSession;
-  }
-  SessionId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      if (status) *status = Status::Unavailable("DecodeServer: shutting down");
-      return kInvalidSession;
-    }
-    id = next_id_++;
-  }
-  std::shared_ptr<Session> session;
-  try {
-    session = std::make_shared<Session>(id, std::move(config));
-  } catch (const std::invalid_argument&) {
-    if (status) {
-      *status = Status::Invalid(
-          "SessionConfig: strategy is missing required parameters "
-          "(e.g. sskf/lite need StrategyMatrices::preloaded_inverse)");
-    }
-    return kInvalidSession;
-  }
-  // Replay against the (warm) gain-schedule cache, outside mu_: extending a
-  // cold schedule to snap.iteration computes that many K/P entries, and the
-  // admission lock must not pay for it.
-  telemetry::ScopedFlightSession flight(id, snap.steps);
-  const std::shared_ptr<kalman::GainSchedule> schedule =
-      cache_.acquire(session->config().filter);
-  if (!schedule) {
-    if (status)
-      *status =
-          Status::Invalid("restore: gain-schedule fingerprint collision");
-    return kInvalidSession;
-  }
-  std::shared_ptr<const kalman::GainSchedule::Entry> entry;
-  if (snap.iteration > 0) {
-    entry = schedule->at(std::size_t(snap.iteration) - 1);
-    if (!entry) {
-      if (status)
-        *status = Status::Invalid(
-            "restore: iteration already slid out of the schedule window");
-      return kInvalidSession;
-    }
-  }
-  session->prime_restore(snap, std::move(entry));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto git = groups_.find(schedule->fingerprint());
-    if (git != groups_.end() && git->second.group &&
-        (!(git->second.group->config() == session->config().filter) ||
-         git->second.group->schedule()->base() > snap.iteration)) {
-      if (status)
-        *status = Status::Invalid(
-            "restore: live batch group cannot host this snapshot");
-      return kInvalidSession;
-    }
-    GroupSlot& gslot = groups_[schedule->fingerprint()];
-    if (!gslot.group) gslot.group = std::make_shared<BatchGroup>(schedule);
-    Slot& slot = slots_[id];
-    slot.session = session;
-    session->enable_batching();
-    gslot.group->add(session);
-    slot.group = gslot.group;
-  }
-  sessions_open_gauge().add(1.0);
-  if (telemetry::enabled()) {
-    auto& blackbox = telemetry::FlightRecorder::global();
-    blackbox.record(telemetry::FlightEventKind::kSnapshotRestored, id,
-                    snap.steps, snap.iteration);
-  }
-  if (status) *status = Status::Ok();
-  return id;
-}
-
 bool DecodeServer::remove_session(SessionId id) {
-  std::shared_ptr<BatchGroup> group;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = slots_.find(id);
-    if (it == slots_.end()) return false;
-    Slot& slot = it->second;
-    if (slot.scheduled) {
-      // Pool mode: a worker may be inside the session right now — refuse.
-      // Manual mode with quiesced pumping (the migration contract): the
-      // ownership token is parked in ready_, so reclaim it here.
-      if (pool_) return false;
-      for (auto rit = ready_.begin(); rit != ready_.end();) {
-        if (!rit->is_group && rit->id == id) {
-          rit = ready_.erase(rit);
-          --scheduled_count_;
-        } else {
-          ++rit;
-        }
-      }
-    }
-    group = slot.group;
-    if (!slot.closed) sessions_open_gauge().add(-1.0);
-    slots_.erase(it);
-    drain_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = slots_.find(id);
+  if (it == slots_.end()) return false;
+  Slot& slot = it->second;
+  const std::shared_ptr<BatchGroup> group = slot.unit->group;
+  if (group) {
+    group->remove(id);
+    erase_if_empty_locked(group);
+  } else {
+    // Pool mode: a worker may be inside the session right now — refuse.
+    // Manual mode with quiesced pumping (the migration contract): a token
+    // still queued for the emptied unit parks on its next poll().
+    if (slot.unit->scheduled && pool_) return false;
+    slot.unit->session.reset();
   }
-  if (group) group->remove(id);
+  if (!slot.closed) sessions_open_gauge().add(-1.0);
+  slots_.erase(it);
+  drain_cv_.notify_all();
   return true;
 }
 
@@ -558,9 +441,7 @@ ServerStats DecodeServer::stats() const {
       sessions.push_back(slot.session);
       if (!slot.closed) ++out.sessions;
     }
-    for (const auto& [key, gslot] : groups_) {
-      if (gslot.group && gslot.group->size() > 0) ++out.batch_groups;
-    }
+    out.batch_groups = groups_.size();
   }
   for (const auto& session : sessions) {
     SessionStatsSnapshot s = session->stats();
@@ -607,11 +488,12 @@ ServerStats DecodeServer::stats() const {
   out.gain_cache_misses = cache_stats.misses;
   out.gain_cache_evictions = cache_stats.evictions;
   out.gain_cache_collisions = cache_stats.collisions;
-  // Refresh the registry gauges from this authoritative snapshot, so a
-  // --metrics-out dump and stats().to_string() always agree.
+  // Publish the snapshot-only gauges.  sessions_open and queued_bins are
+  // not set here: sessions maintain them incrementally across every server
+  // in the process.  The gauges below are per-server values, so with
+  // several servers (a cluster's shards) they hold whichever server's
+  // stats() ran last.
   auto& registry = telemetry::MetricsRegistry::global();
-  registry.gauge("kalmmind.serve.sessions_open").set(double(out.sessions));
-  registry.gauge("kalmmind.serve.queued_bins").set(double(out.queued));
   registry.gauge("kalmmind.serve.worker_utilization")
       .set(out.worker_utilization);
   registry.gauge("kalmmind.serve.sessions_quarantined")

@@ -1,30 +1,31 @@
 // The streaming multi-session decode engine: many concurrent BCI sessions
 // scheduled over one shared serve::ThreadPool.
 //
-// Scheduling model (run-to-ready, one owner per session):
+// Scheduling model (run-to-ready, one owner per scheduling unit).  A unit
+// is either one solo session or one BatchGroup; both take the same path:
 //  * submit() enqueues a bin into the session's bounded queue.  If the
-//    session is not currently scheduled, it is marked scheduled and a pool
-//    job is dispatched for it.
-//  * A worker job batch-steps the session (up to max_batch bins), then
-//    either re-dispatches the session (more bins arrived meanwhile) or
-//    clears the scheduled flag.  At most one worker ever steps a given
-//    session, so per-session decode order — and the decoded trajectory —
-//    is exactly the single-threaded result, bit for bit.
-//  * With workers == 0 the server runs in manual mode: nothing executes
-//    until poll() pumps one ready session on the calling thread
-//    (deterministic tests, single-threaded embedding).
+//    session's unit is not currently scheduled, it is marked scheduled and
+//    dispatched: a pool job (pool mode) or a ready-queue token (manual
+//    mode, where poll() pumps one token on the calling thread —
+//    deterministic tests, single-threaded embedding).
+//  * The worker body steps the unit for one quantum (up to max_batch bins,
+//    or rounds of one bin per member for a group), then either re-dispatches
+//    it (more bins arrived meanwhile) or clears the scheduled flag.  At most
+//    one worker ever steps a given unit, so per-session decode order — and
+//    the decoded trajectory — is exactly the single-threaded result, bit for
+//    bit.
 //
 // Batched serving (docs/serving.md): sessions admitted with equal
 // FilterConfigs (and allow_batching, health disabled) share a GainSchedule
 // from the server's GainScheduleCache and decode together in a BatchGroup.
-// A group is a scheduling unit exactly like a session — one `scheduled`
-// flag, one consumer at a time — so batched decode order per session is
-// still the single-threaded result, bit for bit.  Sessions that degrade,
-// fall out of the schedule window, or diverge eject back to the solo path
-// and are rescheduled individually.
+// Sessions that degrade or fall out of the schedule window eject back to
+// the solo path and get a unit of their own.  A group whose last member is
+// removed or ejected is erased, releasing its schedule; a token still
+// queued for it parks on its next turn.
 //
-// Session admission is exception-free: open_session() validates via the
-// Status-returning check() chain and reports failure through a Status.
+// Session admission is exception-free: open_session() and
+// restore_session() validate via the Status-returning check() chain and
+// report failure through a Status.
 #pragma once
 
 #include <atomic>
@@ -62,7 +63,9 @@ struct ServerOptions {
   bool batching = true;
   // Distinct filter configs whose schedules stay cached (LRU beyond this).
   std::size_t gain_cache_capacity = 16;
-  // Trailing K/P entries each schedule keeps (see GainSchedule).
+  // Trailing K/P entries each schedule keeps (see GainSchedule).  At paper
+  // dims no schedule settles into a bitwise fixed point or calc_freq
+  // cycle, so there is no shorter exact representation (docs/serving.md).
   std::size_t gain_window = kalman::GainSchedule::kDefaultWindow;
   // First session id this server hands out.  The cluster gives each shard
   // (incarnation) a disjoint id range so flight-recorder journals — keyed
@@ -165,48 +168,49 @@ class DecodeServer {
   }
 
  private:
+  // The scheduling unit: exactly one of `session` (solo) or `group` is set,
+  // until removal or group erasure empties the unit.  Every field is
+  // guarded by mu_.
+  struct Unit {
+    std::shared_ptr<Session> session;
+    std::shared_ptr<BatchGroup> group;
+    bool scheduled = false;  // a worker owns (or will own) this unit
+  };
+
   struct Slot {
     std::shared_ptr<Session> session;
-    bool scheduled = false;  // a worker owns (or will own) this session
-    bool closed = false;     // no longer accepts submits
-    // Non-null while the session decodes inside a BatchGroup; submits then
-    // dispatch the group instead of the session.
-    std::shared_ptr<BatchGroup> group;
-  };
-
-  struct GroupSlot {
-    std::shared_ptr<BatchGroup> group;
-    bool scheduled = false;  // a worker owns (or will own) this group
-  };
-
-  struct ReadyItem {
-    bool is_group = false;
-    SessionId id = 0;         // !is_group
-    std::uint64_t key = 0;    // is_group: fingerprint key into groups_
+    std::shared_ptr<Unit> unit;  // the session's own unit, or its group's
+    bool closed = false;         // no longer accepts submits
   };
 
   std::shared_ptr<Session> find(SessionId id) const;
-  bool stopping_flag() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopping_;
-  }
-  // Called with mu_ held: mark the slot scheduled and hand it to a worker
-  // (pool mode) or the ready queue (manual mode).
-  void dispatch_locked(SessionId id, Slot& slot);
-  void dispatch_group_locked(std::uint64_t key, GroupSlot& slot);
-  // Worker bodies: batch-step, then re-dispatch or park.
-  void run_session(SessionId id);
-  void run_group(std::uint64_t key);
-  // Time one batch (step_pending) and fold it into the busy-time tally
-  // plus the kalmmind.serve.worker_busy_us_total counter.
-  std::size_t step_timed(Session& session);
-  BatchGroup::StepResult step_timed(BatchGroup& group);
-  // Try to place a just-admitted session into a batch group.  Returns true
-  // on success (slot.group set, session switched to batched mode).
-  bool try_join_group_locked(Slot& slot);
-  // After a group pass: clear slot.group for ejected sessions and schedule
-  // any with pending bins.  Called with mu_ held.
-  void handle_ejections_locked(const std::vector<SessionId>& ejected);
+  // Same-config sessions may share a group on this server.
+  bool batchable(const SessionConfig& config) const;
+  // Admission shared by open_session (snap == nullptr) and restore_session:
+  // validate, build the Session, acquire its gain schedule, join a group
+  // (mandatory for a restore) or take a solo unit.
+  SessionId admit(SessionConfig config, const SessionSnapshot* snap,
+                  Status* status);
+  // mu_ held: add the slot's session to the group for `schedule` (creating
+  // it) when that group can host a stream at schedule `iteration`.
+  bool join_group_locked(Slot& slot,
+                         std::shared_ptr<kalman::GainSchedule> schedule,
+                         std::size_t iteration);
+  // mu_ held: mark the unit scheduled and hand it to a worker (pool mode) or
+  // the ready queue (manual mode); enqueue_locked is the hand-off alone.
+  void dispatch_locked(std::shared_ptr<Unit> unit);
+  void enqueue_locked(std::shared_ptr<Unit> unit);
+  // Worker body, for pool jobs and poll() alike: step the unit for one
+  // quantum, then re-dispatch or park it.  Returns bins consumed.
+  std::size_t run(const std::shared_ptr<Unit>& unit);
+  // Time one quantum and fold it into the busy-time tally plus the
+  // kalmmind.serve.worker_busy_us_total counter.
+  BatchGroup::StepResult step_timed(Session* session, BatchGroup* group);
+  // mu_ held: give each ejected member a solo unit (scheduled if it has
+  // pending bins), then erase `group` if it emptied.
+  void handle_ejections_locked(const std::shared_ptr<BatchGroup>& group,
+                               const std::vector<SessionId>& ejected);
+  void erase_if_empty_locked(const std::shared_ptr<BatchGroup>& group);
 
   const ServerOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null in manual mode
@@ -218,8 +222,9 @@ class DecodeServer {
   mutable std::mutex mu_;
   std::condition_variable drain_cv_;
   std::unordered_map<SessionId, Slot> slots_;
-  std::unordered_map<std::uint64_t, GroupSlot> groups_;
-  std::deque<ReadyItem> ready_;  // manual mode only
+  // Live groups by schedule fingerprint.
+  std::unordered_map<std::uint64_t, std::shared_ptr<Unit>> groups_;
+  std::deque<std::shared_ptr<Unit>> ready_;  // manual mode only
   SessionId next_id_ = 1;
   std::size_t scheduled_count_ = 0;
   bool stopping_ = false;

@@ -5,20 +5,22 @@
 // Concurrency contract:
 //  * enqueue() / snapshot accessors may be called from any thread; they
 //    synchronize on the session mutex.
-//  * step_pending() — the only solo-mode method that touches the filter —
-//    must be called by at most one thread at a time.  DecodeServer
-//    guarantees this with its `scheduled` flag; the filter itself is never
-//    locked, so a decode step never blocks producers.
-//  * In batched mode (docs/serving.md) the owning BatchGroup is the single
-//    consumer: batch_pop / batch_state / note_batch_result / eject_to_solo
-//    follow the same one-thread-at-a-time contract as step_pending, and
-//    the batch-local estimate (batch_x_, batch_iteration_, last_entry_)
-//    is touched by that consumer only.
+//  * The consumer side — step_pending() for a solo session, or the owning
+//    BatchGroup's pop_gated / batch_state / note_batch_result /
+//    eject_to_solo for a batched one — runs on at most one thread at a
+//    time.  DecodeServer guarantees this with the `scheduled` flag of the
+//    session's scheduling unit; the filter and the batch-local estimate
+//    (batch_x_, batch_iteration_, last_entry_) are never locked, so a decode
+//    step never blocks producers.
 //
-// Because each session's filter steps strictly sequentially in submission
-// order — and the batched path replays the identical kernel sequence with
-// gains from the shared GainSchedule — a session decoded by the server is
-// bit-identical to the same model + strategy stepped in a plain
+// Both engines share one consumer path: the self-healing gate
+// (pop_gated), the recorded-decode bookkeeping (record_decode) and the
+// invalid-step path (record_invalid).  They differ only in where the
+// decoded state comes from — the session's own filter, or a fused cohort
+// pass reading K from the shared GainSchedule.  Because each session's
+// filter steps strictly sequentially in submission order — and the batched
+// path replays the identical kernel sequence — a session decoded by the
+// server is bit-identical to the same model + strategy stepped in a plain
 // single-threaded loop.
 #pragma once
 
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -204,18 +207,11 @@ struct SessionConfig {
   }
 };
 
-// What the owning BatchGroup must do with a session after one batched
-// decode was recorded.
-enum class BatchVerdict {
-  kOk,     // keep batching
-  kEject,  // session degraded to solo (deadline ladder): reschedule solo
-};
-
-// Outcome of popping one bin under the self-healing gate in batched mode.
-enum class BatchPop {
+// Outcome of popping one bin through the self-healing gate.
+enum class GatedPop {
   kEmpty,   // no bin queued
   kDropped, // bin consumed without decoding (quarantined/failed)
-  kDecode,  // bin popped; decode it at batch_iteration()
+  kDecode,  // bin popped; decode it
 };
 
 class Session {
@@ -227,6 +223,7 @@ class Session {
       : id_(id),
         config_(std::move(config)),
         filter_(config_.filter.make_filter()),
+        batch_x_(config_.filter.model.x0),
         workspace_bytes_(filter_.workspace_bytes()),
         ckpt_x_(config_.filter.model.x0),
         // A health-gated filter's gain trajectory is measurement-dependent,
@@ -260,63 +257,19 @@ class Session {
     return result;
   }
 
-  // Consumer side: dequeue up to max_batch bins and step the filter over
-  // them, timing each step against the session deadline.  Exactly one
-  // thread at a time (see the concurrency contract above).  Returns the
-  // number of steps executed; latencies are also pushed to `recorder` if
-  // given.
+  // Solo consumer: pop up to max_batch bins through the self-healing gate
+  // and step the filter over each, timing it against the session deadline.
+  // Exactly one thread at a time (see the concurrency contract above).
+  // Returns the number of bins consumed; latencies are also pushed to
+  // `recorder` if given.
   std::size_t step_pending(std::size_t max_batch,
                            LatencyRecorder* recorder = nullptr) {
-    auto& tm = detail::ServeTelemetry::get();
-    telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
-    // batch_ is reused across calls (only the step_pending caller touches
-    // it — same single-consumer contract as filter_), so draining the queue
-    // does not reallocate the batch buffer every tick.
-    std::vector<Vector<double>>& batch = batch_;
-    batch.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const std::size_t n = std::min(max_batch, queue_.size());
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (n > 0) tm.queued_bins.add(-double(n));
-    }
-    if (!batch.empty() && tracer.enabled()) {
-      tracer.counter("serve.queued_bins", tm.queued_bins.value());
-    }
-    for (auto& z : batch) {
-      // Self-healing gate: quarantined/failed sessions consume bins without
-      // decoding them, so the queue keeps draining and the scheduler never
-      // spins on a broken stream.  When the quarantine backoff runs out the
-      // session restarts (fresh filter from x0/P0) and decodes this bin.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (state_ == SessionState::kFailed) {
-          ++quarantine_dropped_;
-          tm.quarantine_dropped.add();
-          continue;
-        }
-        if (state_ == SessionState::kQuarantined) {
-          if (backoff_remaining_ > 0) {
-            --backoff_remaining_;
-            ++quarantine_dropped_;
-            tm.quarantine_dropped.add();
-            continue;
-          }
-          state_ = SessionState::kHealthy;
-          ++restarts_;
-          tm.restarts.add();
-          if (telemetry::enabled()) {
-            auto& blackbox = telemetry::FlightRecorder::global();
-            blackbox.record(telemetry::FlightEventKind::kRestart, id_, steps_,
-                            restarts_);
-          }
-        }
-      }
-
+    std::size_t consumed = 0;
+    Vector<double> z;
+    for (; consumed < max_batch; ++consumed) {
+      const GatedPop pop = pop_gated(&z);
+      if (pop == GatedPop::kEmpty) break;
+      if (pop == GatedPop::kDropped) continue;
       const auto t0 = std::chrono::steady_clock::now();
       const Vector<double>* x = nullptr;
       // The flight-session scope attributes health-monitor events recorded
@@ -325,79 +278,21 @@ class Session {
         telemetry::ScopedFlightSession flight(id_, steps_done());
         return guarded_step(z, &x);
       }();
-      const auto t1 = std::chrono::steady_clock::now();
-      double seconds = std::chrono::duration<double>(t1 - t0).count();
-#if defined(KALMMIND_FAULTS)
-      {
-        // Fault-injection hook: deterministic deadline outcomes for the
-        // degradation tests (see fault_override_step_seconds).
-        std::lock_guard<std::mutex> lock(mu_);
-        if (fault_step_seconds_ >= 0.0) seconds = fault_step_seconds_;
-      }
-#endif
-
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
       if (!step_status.ok()) {
-        // The diverged decode is *not* recorded: no latency sample, no
-        // trajectory entry, no steps_ increment — so one blown-up stream
-        // cannot pollute the server's latency percentiles.
-        tm.invalid_steps.add();
-        if (telemetry::enabled()) {
-          auto& blackbox = telemetry::FlightRecorder::global();
-          blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_,
-                          steps_done(), 0, 0.0, step_status.message());
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        ++invalid_steps_;
-        if (config_.self_healing.enabled) enter_quarantine_locked();
-        continue;
-      }
-
-      if (recorder) recorder->record(seconds);
-      tm.steps.add();
-      if (tracer.enabled()) {
-        tracer.complete("serve.step", "serve", tracer.to_us(t0), seconds * 1e6,
-                        "\"session\":" + std::to_string(id_));
-      }
-
-      core::IterationTiming timing;
-      timing.kf_iteration = steps_done();
-      timing.cycles = 0;  // wall-clock path: no cycle model attached
-      timing.seconds = seconds;
-      timing.meets_deadline = seconds <= config_.deadline_s;
-
-      if (!timing.meets_deadline) tm.deadline_misses.add();
-
-      std::lock_guard<std::mutex> lock(mu_);
-      ++steps_;
-      // Checkpoint mirror: the durable (iteration, x) of this stream, kept
-      // under mu_ so checkpoint() can run from any thread without touching
-      // the consumer-only filter (cheap: x_dim doubles at paper dims).
-      ckpt_x_ = *x;
-      ++ckpt_iteration_;
-      // Sampled under the lock so stats() never reads filter_ while a
-      // worker is stepping it (steady state: constant after the first step).
-      workspace_bytes_ = filter_.workspace_bytes();
-      sum_step_s_ += seconds;
-      worst_step_s_ = std::max(worst_step_s_, seconds);
-      sample_latency_locked(seconds);
-      if (!timing.meets_deadline) {
-        ++deadline_misses_;
-        if (telemetry::enabled()) {
-          auto& blackbox = telemetry::FlightRecorder::global();
-          blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_,
-                          steps_, deadline_misses_, seconds);
-        }
-      }
-      if (config_.record_trajectory) {
-        states_.push_back(*x);
-        timings_.push_back(timing);
-      }
-      if (config_.self_healing.enabled &&
-          config_.self_healing.degrade_after_misses > 0) {
-        track_deadline_locked(timing.meets_deadline, tm);
+        record_invalid(step_status.message());
+      } else {
+        (void)record_decode(*x, t0, seconds, recorder);
       }
     }
-    return batch.size();
+    telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
+    if (consumed > 0 && tracer.enabled()) {
+      tracer.counter("serve.queued_bins",
+                     detail::ServeTelemetry::get().queued_bins.value());
+    }
+    return consumed;
   }
 
   std::size_t queue_depth() const {
@@ -408,8 +303,7 @@ class Session {
   // Decoded states so far, in submission order (empty when
   // record_trajectory is off).
   std::vector<Vector<double>> trajectory() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return states_;
+    return trajectory_slice(0, SIZE_MAX);
   }
 
   // Decoded states [from, to), clamped to what exists — the cluster copies
@@ -472,14 +366,12 @@ class Session {
   // --- batched mode (single consumer: the owning BatchGroup) --------------
 
   // Switch to batched decoding.  Called once at admission, before any bin
-  // is consumed; the solo filter stays constructed so eject_to_solo() can
-  // hand back a running session at any point.
+  // is consumed, so the batch estimate is still x0 at schedule iteration 0
+  // (or whatever prime_restore() seeded); the solo filter stays constructed
+  // so eject_to_solo() can hand back a running session at any point.
   void enable_batching() {
     std::lock_guard<std::mutex> lock(mu_);
     batched_ = true;
-    if (restored_) return;  // prime_restore() already seeded the estimate
-    batch_x_ = config_.filter.model.x0;
-    batch_iteration_ = 0;
   }
 
   bool batched() const {
@@ -487,29 +379,19 @@ class Session {
     return batched_;
   }
 
-  // Pop one bin through the self-healing gate — the same
-  // quarantined/failed semantics as the solo drain loop: a gated bin is
-  // consumed and dropped; a quarantine whose backoff just drained restarts
-  // the stream (from x0, schedule iteration 0) and decodes this bin.
-  BatchPop batch_pop(Vector<double>* z) {
+  // Self-healing gate (consumer thread, both engines): pop one bin.
+  // Quarantined/failed sessions consume bins without decoding them, so the
+  // queue keeps draining and the scheduler never spins on a broken stream.
+  // A quarantine whose backoff just drained restarts the stream (x0/P0, or
+  // x0 at schedule iteration 0 when batched) and decodes this bin.
+  GatedPop pop_gated(Vector<double>* z) {
     auto& tm = detail::ServeTelemetry::get();
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return BatchPop::kEmpty;
+    if (queue_.empty()) return GatedPop::kEmpty;
     *z = std::move(queue_.front());
     queue_.pop_front();
     tm.queued_bins.add(-1.0);
-    if (state_ == SessionState::kFailed) {
-      ++quarantine_dropped_;
-      tm.quarantine_dropped.add();
-      return BatchPop::kDropped;
-    }
-    if (state_ == SessionState::kQuarantined) {
-      if (backoff_remaining_ > 0) {
-        --backoff_remaining_;
-        ++quarantine_dropped_;
-        tm.quarantine_dropped.add();
-        return BatchPop::kDropped;
-      }
+    if (state_ == SessionState::kQuarantined && backoff_remaining_ == 0) {
       state_ = SessionState::kHealthy;
       ++restarts_;
       tm.restarts.add();
@@ -519,7 +401,14 @@ class Session {
                         restarts_);
       }
     }
-    return BatchPop::kDecode;
+    if (state_ == SessionState::kFailed ||
+        state_ == SessionState::kQuarantined) {
+      if (state_ == SessionState::kQuarantined) --backoff_remaining_;
+      ++quarantine_dropped_;
+      tm.quarantine_dropped.add();
+      return GatedPop::kDropped;
+    }
+    return GatedPop::kDecode;
   }
 
   // Put a popped-but-undecoded bin back at the queue head (window-miss
@@ -535,16 +424,16 @@ class Session {
   // Current state estimate in batched mode (consumer thread only).
   const Vector<double>& batch_state() const { return batch_x_; }
 
-  // Record the result of one batched decode: the same Status guard,
-  // latency/trajectory/deadline bookkeeping and self-healing transitions
-  // as the solo loop.  `seconds` is this session's share of the fused
-  // cohort pass (cohort wall time / cohort size).  Returns kEject when the
-  // deadline ladder degraded the session — it now runs solo on the cheap
-  // constant-gain strategy and must leave the group.
-  BatchVerdict note_batch_result(
+  // Record the result of one batched decode: update the batch state, then
+  // the same Status guard and bookkeeping as the solo path.  `t0` is the
+  // cohort pass start and `seconds` this session's share of it (cohort wall
+  // time / cohort size).  Returns true when the deadline ladder degraded
+  // the session — it now runs solo on the cheap constant-gain strategy and
+  // must leave the group.
+  [[nodiscard]] bool note_batch_result(
       std::shared_ptr<const kalman::GainSchedule::Entry> entry,
-      const double* x_new, double seconds, LatencyRecorder* recorder) {
-    auto& tm = detail::ServeTelemetry::get();
+      const double* x_new, std::chrono::steady_clock::time_point t0,
+      double seconds, LatencyRecorder* recorder) {
     // Mirror the filter state mutation exactly: the decoded state becomes
     // the batch estimate even when non-finite (a solo filter's state is
     // poisoned the same way), so a healing-disabled stream stays invalid
@@ -553,75 +442,13 @@ class Session {
     for (std::size_t i = 0; i < x_dim; ++i) batch_x_[i] = x_new[i];
     ++batch_iteration_;
     last_entry_ = std::move(entry);
-
-#if defined(KALMMIND_FAULTS)
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (fault_step_seconds_ >= 0.0) seconds = fault_step_seconds_;
-    }
-#endif
-
-    bool finite = true;
     for (std::size_t i = 0; i < x_dim; ++i) {
       if (!std::isfinite(batch_x_[i])) {
-        finite = false;
-        break;
+        record_invalid("non-finite batch state");
+        return false;  // quarantine is handled by the pop gate
       }
     }
-    if (!finite) {
-      // Not recorded: no latency sample, no trajectory entry, no steps_
-      // increment — identical to the solo invalid-step path.
-      tm.invalid_steps.add();
-      if (telemetry::enabled()) {
-        auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_,
-                        steps_done(), 0, 0.0, "non-finite batch state");
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++invalid_steps_;
-      if (config_.self_healing.enabled) enter_quarantine_locked();
-      return BatchVerdict::kOk;  // quarantine is handled by the pop gate
-    }
-
-    if (recorder) recorder->record(seconds);
-    tm.steps.add();
-    tm.batched_steps.add();
-
-    core::IterationTiming timing;
-    timing.cycles = 0;
-    timing.seconds = seconds;
-    timing.meets_deadline = seconds <= config_.deadline_s;
-    if (!timing.meets_deadline) tm.deadline_misses.add();
-
-    std::lock_guard<std::mutex> lock(mu_);
-    timing.kf_iteration = steps_;
-    ++steps_;
-    ++batched_steps_;
-    // Checkpoint mirror (see step_pending): batch_x_/batch_iteration_ are
-    // consumer-only, so checkpoint() reads these mu_-guarded copies.
-    ckpt_x_ = batch_x_;
-    ckpt_iteration_ = batch_iteration_;
-    sum_step_s_ += seconds;
-    worst_step_s_ = std::max(worst_step_s_, seconds);
-    sample_latency_locked(seconds);
-    if (!timing.meets_deadline) {
-      ++deadline_misses_;
-      if (telemetry::enabled()) {
-        auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_, steps_,
-                        deadline_misses_, seconds);
-      }
-    }
-    if (config_.record_trajectory) {
-      states_.push_back(batch_x_);
-      timings_.push_back(timing);
-    }
-    if (config_.self_healing.enabled &&
-        config_.self_healing.degrade_after_misses > 0) {
-      track_deadline_locked(timing.meets_deadline, tm);
-      if (!batched_) return BatchVerdict::kEject;  // ladder degraded us
-    }
-    return BatchVerdict::kOk;
+    return record_decode(batch_x_, t0, seconds, recorder);
   }
 
   // Leave the group (schedule window miss, or the group dissolving):
@@ -690,8 +517,6 @@ class Session {
   void prime_restore(const SessionSnapshot& snap,
                      std::shared_ptr<const kalman::GainSchedule::Entry> entry) {
     std::lock_guard<std::mutex> lock(mu_);
-    restored_ = true;
-    restore_iteration_ = snap.iteration;
     ckpt_iteration_ = snap.iteration;
     for (std::size_t i = 0; i < ckpt_x_.size(); ++i) ckpt_x_[i] = snap.x[i];
     // Pre-consumption writes to the consumer-only batch state are safe: no
@@ -713,20 +538,6 @@ class Session {
     discarded_ = snap.discarded;
     sum_step_s_ = snap.sum_step_s;
     worst_step_s_ = snap.worst_step_s;
-  }
-
-  // Schedule iteration this session decodes from (0 unless restored).
-  std::size_t restore_iteration() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return restore_iteration_;
-  }
-
-  // Bins this session has fully consumed (decoded, diverged, or dropped
-  // while quarantined).  consumed() + queue_depth() + discarded == bins the
-  // session ever accepted.
-  std::size_t consumed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return steps_ + invalid_steps_ + quarantine_dropped_;
   }
 
   // Drop every queued-but-undecoded bin, counting them as discarded (the
@@ -804,6 +615,97 @@ class Session {
     return Status::Ok();
   }
 
+  // Recorded-decode bookkeeping, shared by both engines (consumer thread):
+  // the fault-hook override, steps, the checkpoint mirror, the
+  // IterationTiming row, the latency sample, a deadline miss with its
+  // flight event, the trajectory, the degrade ladder and the serve.step
+  // span.  Returns true when the ladder degraded a batched session, which
+  // must then leave its group.
+  bool record_decode(const Vector<double>& x,
+                     std::chrono::steady_clock::time_point t0, double seconds,
+                     LatencyRecorder* recorder) {
+    auto& tm = detail::ServeTelemetry::get();
+#if defined(KALMMIND_FAULTS)
+    {
+      // Fault-injection hook: deterministic deadline outcomes for the
+      // degradation tests (see fault_override_step_seconds).
+      std::lock_guard<std::mutex> lock(mu_);
+      if (fault_step_seconds_ >= 0.0) seconds = fault_step_seconds_;
+    }
+#endif
+    if (recorder) recorder->record(seconds);
+    tm.steps.add();
+    core::IterationTiming timing;
+    timing.cycles = 0;  // wall-clock path: no cycle model attached
+    timing.seconds = seconds;
+    timing.meets_deadline = seconds <= config_.deadline_s;
+    if (!timing.meets_deadline) tm.deadline_misses.add();
+
+    bool was_batched = false;
+    bool left_group = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      was_batched = batched_;
+      timing.kf_iteration = steps_;
+      ++steps_;
+      if (batched_) {
+        ++batched_steps_;
+        tm.batched_steps.add();
+      }
+      // Checkpoint mirror: the durable (iteration, x) of this stream, kept
+      // under mu_ so checkpoint() can run from any thread without touching
+      // the consumer-only filter/batch state (cheap: x_dim doubles).
+      ckpt_x_ = x;
+      ++ckpt_iteration_;
+      // Sampled under the lock so stats() never reads filter_ while a
+      // worker is stepping it (steady state: constant after the first step).
+      workspace_bytes_ = filter_.workspace_bytes();
+      sum_step_s_ += seconds;
+      worst_step_s_ = std::max(worst_step_s_, seconds);
+      sample_latency_locked(seconds);
+      if (!timing.meets_deadline) {
+        ++deadline_misses_;
+        if (telemetry::enabled()) {
+          auto& blackbox = telemetry::FlightRecorder::global();
+          blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_,
+                          steps_, deadline_misses_, seconds);
+        }
+      }
+      if (config_.record_trajectory) {
+        states_.push_back(x);
+        timings_.push_back(timing);
+      }
+      if (config_.self_healing.enabled &&
+          config_.self_healing.degrade_after_misses > 0) {
+        track_deadline_locked(timing.meets_deadline, tm);
+        left_group = was_batched && !batched_;
+      }
+    }
+    telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
+    if (tracer.enabled()) {
+      tracer.complete("serve.step", "serve", tracer.to_us(t0), seconds * 1e6,
+                      "\"session\":" + std::to_string(id_) +
+                          (was_batched ? ",\"batched\":true" : ""));
+    }
+    return left_group;
+  }
+
+  // A decode the guard rejected is *not* recorded: no latency sample, no
+  // trajectory entry, no steps_ increment — so one blown-up stream cannot
+  // pollute the server's latency percentiles.  With self-healing on, the
+  // session enters quarantine.
+  void record_invalid(const char* why) {
+    detail::ServeTelemetry::get().invalid_steps.add();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (telemetry::enabled()) {
+      auto& blackbox = telemetry::FlightRecorder::global();
+      blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_, steps_,
+                      0, 0.0, why);
+    }
+    ++invalid_steps_;
+    if (config_.self_healing.enabled) enter_quarantine_locked();
+  }
+
   // Divergence response (mu_ held).  The filter restarts immediately — a
   // degraded session is restored to its original strategy first, since the
   // divergence may be the cheap strategy's fault — and the backoff then
@@ -847,15 +749,13 @@ class Session {
       last_entry_.reset();
       return;
     }
-    if (state_was_degraded()) {
+    if (degraded_) {
       rebuild_filter_locked(config_.filter.strategy,
                             config_.filter.strategy_data);
       degraded_ = false;
     }
     filter_.reset();
   }
-
-  bool state_was_degraded() const { return degraded_; }
 
   // Bounded per-session latency sample (mu_ held) feeding the p50/p95/p99
   // SLO fields of SessionStatsSnapshot — same LCG replacement scheme as
@@ -961,8 +861,6 @@ class Session {
   const SessionId id_;
   const SessionConfig config_;
   kalman::KalmanFilter<double> filter_;  // stepped by the scheduled worker
-  std::vector<Vector<double>> batch_;    // step_pending drain buffer (single
-                                         // consumer, reused across calls)
 
   // Batched-mode estimate, touched only by the owning BatchGroup's single
   // consumer (same contract as filter_): the decoded state, the schedule
@@ -982,8 +880,6 @@ class Session {
   std::size_t ckpt_iteration_ = 0;
   bool replayable_;          // gains still on the shared schedule trajectory
   const std::uint64_t fingerprint_;  // config_.filter.fingerprint()
-  bool restored_ = false;            // seeded from a snapshot
-  std::size_t restore_iteration_ = 0;
   std::size_t discarded_ = 0;        // queued bins dropped at close/teardown
   std::deque<Vector<double>> queue_;
   std::vector<Vector<double>> states_;

@@ -2,7 +2,8 @@
 // tests/lint/fixtures/rtcheck/ seed the behaviors the analyzer guarantees:
 // a direct violation at an exact line, a transitive violation reported
 // with its full call chain, a justified waiver honored (and audited as
-// used), a bare waiver rejected with a note, and cycle termination.
+// used), a bare waiver rejected with a note, an unused waiver reported as
+// a finding, and cycle termination.
 // Inline-source tests pin the resolution rules the repo sweep depends on
 // (qualified suffix match, unqualified lookup skipping inner namespaces,
 // unreachable code staying unreported).
@@ -83,6 +84,25 @@ TEST(RtCheckWaiver, BareWaiverIsIgnoredWithANote) {
   EXPECT_NE(f.message.find("waiver ignored: missing justification"),
             std::string::npos)
       << f.message;
+}
+
+// A waiver the walk never crosses audits nothing any more: it is an RT6
+// finding (so the CLI exits 1 and --github annotates it), not just an
+// [unused] tag in the ledger.
+TEST(RtCheckWaiver, UnusedWaiverIsAFinding) {
+  RtReport report = check_fixture("rtcheck/unused_waiver.hpp");
+  ASSERT_EQ(report.findings.size(), 1u) << dump(report);
+  const Finding& f = report.findings[0];
+  EXPECT_EQ(f.rule, "RT6");
+  EXPECT_EQ(f.line, 8);  // the line the waiver covers
+  EXPECT_NE(f.message.find("unused waiver"), std::string::npos) << f.message;
+  ASSERT_EQ(report.waivers.size(), 1u);
+  EXPECT_FALSE(report.waivers[0].used);
+  const std::string github =
+      kalmmind::lint::format_findings_github(report.findings);
+  EXPECT_NE(github.find("::error file=rtcheck/unused_waiver.hpp,line=8"),
+            std::string::npos)
+      << github;
 }
 
 // The SIMD-dispatch guarantee (src/linalg/simd/dispatch.cpp): getenv and

@@ -308,6 +308,92 @@ TEST(ServeBatchTest, LateJoinAfterWindowSlideStartsSolo) {
                        sequential_trajectory(cfg, zs));
 }
 
+TEST(ServeBatchTest, GroupIsErasedWhenItsLastMemberLeaves) {
+  // Removal and ejection both empty groups; an empty group is erased (its
+  // schedule reference goes with it), so batch_groups counts live groups.
+  const auto model = testing::small_model(4);
+  const SessionConfig cfg = batched_config(model);
+  const auto zs = testing::simulate_measurements(model, 30);
+
+  ServerOptions options;
+  options.workers = ServerOptions::kManual;
+  options.gain_window = 4;  // tiny: easy to fall behind
+  DecodeServer server(options);
+  const SessionId a = server.open_session(cfg);
+  const SessionId b = server.open_session(cfg);
+  for (const auto& z : zs) server.submit(a, z);
+  server.drain();
+  EXPECT_EQ(server.stats().batch_groups, 1u);
+
+  // Removal: A leaves; B is still a member.
+  ASSERT_TRUE(server.remove_session(a));
+  EXPECT_EQ(server.stats().batch_groups, 1u);
+
+  // Ejection: B's first bin needs entry 0, which A's run slid out of the
+  // window, so B falls out to solo and the group is left empty.
+  for (const auto& z : zs) server.submit(b, z);
+  server.drain();
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batch_groups, 0u);
+  EXPECT_FALSE(snapshot_for(stats, b).batched);
+  expect_bit_identical(server.trajectory(b), sequential_trajectory(cfg, zs));
+
+  // Removing every member of a fresh group erases it too.  (cfg's cached
+  // schedule has slid, so new sessions of cfg would start solo.)
+  const SessionConfig fresh = batched_config(testing::small_model(4, 9));
+  const SessionId c = server.open_session(fresh);
+  const SessionId d = server.open_session(fresh);
+  EXPECT_EQ(server.stats().batch_groups, 1u);
+  ASSERT_TRUE(server.remove_session(c));
+  EXPECT_EQ(server.stats().batch_groups, 1u);
+  ASSERT_TRUE(server.remove_session(d));
+  stats = server.stats();
+  EXPECT_EQ(stats.batch_groups, 0u);
+  EXPECT_EQ(stats.batched_sessions, 0u);
+}
+
+TEST(ServeBatchTest, ErasingAScheduledGroupStillDrains) {
+  // A group erased while a scheduling token for it is still queued (a
+  // ready-queue entry in manual mode, a pool job otherwise): the token
+  // parks on its turn, drain() returns, and a same-config successor group
+  // decodes bit-identically.
+  const auto model = testing::small_model(4);
+  const SessionConfig cfg = batched_config(model);
+  const auto zs = testing::simulate_measurements(model, 40);
+  // A wide solo session queued first keeps the single pool worker busy for
+  // a long quantum while the group's job waits behind it.
+  const auto wide = testing::small_model(96);
+  SessionConfig solo_cfg = batched_config(wide);
+  solo_cfg.allow_batching = false;
+  const auto wide_zs = testing::simulate_measurements(wide, 64);
+
+  for (const unsigned workers : {ServerOptions::kManual, 1u}) {
+    SCOPED_TRACE(workers == ServerOptions::kManual ? "manual" : "pool");
+    ServerOptions options;
+    options.workers = workers;
+    options.max_batch = 64;
+    DecodeServer server(options);
+    const SessionId busy = server.open_session(solo_cfg);
+    for (const auto& z : wide_zs) server.submit(busy, z);
+    const SessionId doomed = server.open_session(cfg);
+    for (const auto& z : zs) server.submit(doomed, z);  // group scheduled
+    ASSERT_TRUE(server.remove_session(doomed));
+    EXPECT_EQ(server.stats().batch_groups, 0u);
+
+    const SessionId next = server.open_session(cfg);
+    for (const auto& z : zs) server.submit(next, z);
+    server.drain();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.batch_groups, 1u);
+    EXPECT_EQ(stats.queued, 0u);
+    EXPECT_TRUE(snapshot_for(stats, next).batched);
+    expect_bit_identical(server.trajectory(next),
+                         sequential_trajectory(cfg, zs));
+    expect_bit_identical(server.trajectory(busy),
+                         sequential_trajectory(solo_cfg, wide_zs));
+  }
+}
+
 TEST(ServeBatchTest, ManualModePumpsGroupsThroughPoll) {
   // kManual: no pool, poll() drives group passes — the mode unit tests
   // and single-threaded embeddings rely on.

@@ -16,6 +16,7 @@
 #include "kalman/factory.hpp"
 #include "kalman/filter.hpp"
 #include "serve/serve.hpp"
+#include "telemetry/telemetry.hpp"
 #include "../kalman/kalman_test_util.hpp"
 
 namespace kalmmind::serve {
@@ -511,6 +512,54 @@ TEST(ServeClusterTest, ConcurrentOpensSurviveDrainMigrations) {
     expect_bit_identical(cluster.trajectory(ids[s]),
                          solo_trajectory(cfg, streams[s]));
   EXPECT_EQ(cluster.stats().decoded, kSessions * kSteps);
+}
+
+TEST(ServeClusterTest, ServeGaugesTrackTheWholeCluster) {
+  // kalmmind.serve.sessions_open and kalmmind.serve.queued_bins are
+  // process-wide: every shard's sessions move them incrementally.  A
+  // shard's stats() must not overwrite them with its own counts, a drain
+  // rebuild must not leak the drained sessions, and destroying the cluster
+  // returns both gauges to where they started.
+  if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
+  auto& registry = telemetry::MetricsRegistry::global();
+  telemetry::Gauge& open_gauge = registry.gauge("kalmmind.serve.sessions_open");
+  telemetry::Gauge& queued_gauge = registry.gauge("kalmmind.serve.queued_bins");
+  const double open0 = open_gauge.value();
+  const double queued0 = queued_gauge.value();
+  const auto model = testing::small_model(4);
+  const SessionConfig cfg = interleaved_config(model);
+  const auto zs = testing::simulate_measurements(model, 6);
+  {
+    ClusterOptions opts;
+    opts.shards = 4;
+    ShardedDecodeServer cluster(opts);
+    auto expect_gauges_match = [&](const char* when) {
+      SCOPED_TRACE(when);
+      const ClusterStats st = cluster.stats();
+      EXPECT_EQ(open_gauge.value() - open0, double(st.sessions));
+      EXPECT_EQ(queued_gauge.value() - queued0, double(st.queued));
+    };
+    std::vector<SessionId> ids;
+    for (int s = 0; s < 16; ++s) ids.push_back(cluster.open_session(cfg));
+    for (const SessionId id : ids)
+      for (int n = 0; n < 3; ++n) ASSERT_TRUE(cluster.submit(id, zs[n]).ok());
+    cluster.pump();
+    cluster.tick();
+    expect_gauges_match("after tick");
+    EXPECT_EQ(cluster.stats().sessions, 16u);
+
+    const std::size_t busy = cluster.shard_of(ids[0]);
+    ASSERT_TRUE(cluster.drain_shard(busy).ok());
+    expect_gauges_match("after drain_shard");
+    cluster.tick();
+    expect_gauges_match("after drain_shard and tick");
+    for (const SessionId id : ids)
+      for (int n = 3; n < 6; ++n) ASSERT_TRUE(cluster.submit(id, zs[n]).ok());
+    EXPECT_GT(cluster.stats().queued, 0u);
+    expect_gauges_match("with queued bins");
+  }
+  EXPECT_EQ(open_gauge.value(), open0);
+  EXPECT_EQ(queued_gauge.value(), queued0);
 }
 
 TEST(ServeClusterTest, UnknownSessionIsPermanentNotRetryable) {

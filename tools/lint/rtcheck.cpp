@@ -420,6 +420,12 @@ RtReport rtcheck_sources(
       rec.rules = std::move(rules);
       rec.justification = s.justification;
       rec.used = used_waivers.count({fi, &s}) > 0;
+      if (!rec.used) {
+        report.findings.push_back(
+            {rec.file, rec.line, "RT6",
+             "unused waiver: no realtime path crosses this line (the code "
+             "it audited moved or is gone); delete it"});
+      }
       report.waivers.push_back(std::move(rec));
     }
   }
@@ -458,7 +464,8 @@ std::string rtcheck_rule_table() {
       "RT4  blocking-io  cout/cerr/clog, printf-family, fopen, fstream types,\n"
       "                  getenv, __builtin_cpu_supports/CPUID probes\n"
       "RT5  sleep/wait   this_thread sleeps/yield, condition_variable,\n"
-      "                  .wait/.wait_for/.wait_until\n";
+      "                  .wait/.wait_for/.wait_until\n"
+      "RT6  unused-waiver an RT waiver on a line no realtime path crosses\n";
 }
 
 std::string format_waivers(const std::vector<WaiverRecord>& waivers) {

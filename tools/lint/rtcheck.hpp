@@ -20,6 +20,9 @@
 //                     types.
 //   RT5  sleep/wait   this_thread::sleep_for/sleep_until/yield,
 //                     condition_variable, and .wait/.wait_for/.wait_until.
+//   RT6  unused-waiver an RT waiver on a line no realtime path crosses: the
+//                     code it audited moved or was deleted, so the waiver
+//                     is stale and must go.
 //
 // Waivers reuse the lint suppression syntax but are stricter: an RT waiver
 // with no justification is *ignored* and the finding is emitted anyway,
@@ -59,7 +62,7 @@ struct WaiverRecord {
 };
 
 struct RtReport {
-  std::vector<Finding> findings;  // rule codes "RT1".."RT5"
+  std::vector<Finding> findings;  // rule codes "RT1".."RT6"
   std::vector<WaiverRecord> waivers;
   std::vector<std::string> roots;  // display names of annotated roots
   std::size_t n_files = 0;

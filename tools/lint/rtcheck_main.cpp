@@ -6,8 +6,8 @@
 // Walks DIR/src (or DIR itself when it has no src/), finds every
 // function annotated KALMMIND_REALTIME, and
 // verifies nothing reachable from those roots performs a forbidden
-// operation (RT1-RT5, see rtcheck.hpp).  Exit code: 0 clean, 1 findings,
-// 2 usage/IO error.
+// operation (RT1-RT5, see rtcheck.hpp) and that no RT waiver is unused
+// (RT6).  Exit code: 0 clean, 1 findings, 2 usage/IO error.
 #include <filesystem>
 #include <iostream>
 #include <string>
