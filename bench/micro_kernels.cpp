@@ -190,7 +190,8 @@ void bench_filter_step(benchmark::State& state, bool telemetry_on) {
   Rng rng(11);
   const auto z = random_vector<double>(z_dim, rng);
   kalmmind::kalman::KalmanFilter<double> filter(
-      model, kalmmind::kalman::make_inverse_strategy<double>("gauss"));
+      model, kalmmind::kalman::make_inverse_strategy<double>(
+                 kalmmind::kalman::StrategySpec::parse("gauss")));
   kalmmind::telemetry::set_enabled(telemetry_on);
   for (auto _ : state) {
     const auto& x = filter.step(z);
@@ -222,13 +223,10 @@ void bench_filter_step_health(benchmark::State& state, bool health_on) {
   const auto z = random_vector<double>(z_dim, rng);
   kalmmind::kalman::FilterOptions opts;
   opts.health.enabled = health_on;
-  kalmmind::kalman::StrategyParams<double> params;
-  params.interleave = {3, 2,
-                       kalmmind::kalman::SeedPolicy::kPreviousIteration};
+  const auto spec = kalmmind::kalman::StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   kalmmind::kalman::KalmanFilter<double> filter(
-      model,
-      kalmmind::kalman::make_inverse_strategy<double>("interleaved", params),
-      opts);
+      model, kalmmind::kalman::make_inverse_strategy<double>(spec), opts);
   for (auto _ : state) {
     const auto& x = filter.step(z);
     benchmark::DoNotOptimize(x.data());
@@ -260,13 +258,10 @@ void bench_filter_step_recorder(benchmark::State& state, bool recorder_on) {
   const auto z = random_vector<double>(z_dim, rng);
   kalmmind::kalman::FilterOptions opts;
   opts.health.enabled = true;
-  kalmmind::kalman::StrategyParams<double> params;
-  params.interleave = {3, 2,
-                       kalmmind::kalman::SeedPolicy::kPreviousIteration};
+  const auto spec = kalmmind::kalman::StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   kalmmind::kalman::KalmanFilter<double> filter(
-      model,
-      kalmmind::kalman::make_inverse_strategy<double>("interleaved", params),
-      opts);
+      model, kalmmind::kalman::make_inverse_strategy<double>(spec), opts);
   auto& blackbox = kalmmind::telemetry::FlightRecorder::global();
   blackbox.set_enabled(recorder_on);
   std::uint64_t step = 0;
@@ -349,7 +344,8 @@ void BM_FilterStepWorkspace(benchmark::State& state) {
   Rng rng(11);
   const auto z = random_vector<double>(z_dim, rng);
   kalmmind::kalman::KalmanFilter<double> filter(
-      model, kalmmind::kalman::make_inverse_strategy<double>("gauss"));
+      model, kalmmind::kalman::make_inverse_strategy<double>(
+                 kalmmind::kalman::StrategySpec::parse("gauss")));
   for (auto _ : state) {
     const auto& x = filter.step(z);
     benchmark::DoNotOptimize(x.data());

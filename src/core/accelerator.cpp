@@ -7,6 +7,7 @@
 
 #include "fixedpoint/fixed.hpp"
 #include "kalman/factory.hpp"
+#include "kalman/recursion.hpp"
 
 namespace kalmmind::core {
 
@@ -39,18 +40,18 @@ kalman::CalcMethod to_calc_method(CalcUnit unit) {
   }
 }
 
-// Innovation covariance of the first KF iteration, computed exactly in
-// double: S_0 = H (F P0 F^t + Q) H^t + R.  LITE's preloaded seed.
-Matrix<double> first_innovation_covariance(const KalmanModel<double>& model) {
-  // Same symmetric sandwich kernels as KalmanFilter::step, so the
-  // preloaded LITE seed matches what the online filter computes for S_0.
-  Matrix<double> fp, p_pred;
-  linalg::symmetric_sandwich_into(p_pred, model.f, model.p0, fp);
-  p_pred += model.q;
-  Matrix<double> hp, s;
-  linalg::symmetric_sandwich_into(s, model.h, p_pred, hp);
-  s += model.r;
-  return s;
+// Exact inverse of the first KF iteration's innovation covariance,
+// S_0 = H (F P0 F^t + Q) H^t + R, in double: LITE's preloaded seed.  Taken
+// from the filter's own recursion, so it is the S_0 the online filter
+// computes.
+Matrix<double> first_innovation_inverse(const KalmanModel<double>& model) {
+  kalman::GainRecursion<double> recursion(
+      model, std::make_unique<kalman::CalculationStrategy<double>>(
+                 kalman::CalcMethod::kLu));
+  recursion.predict(model);
+  recursion.compute_s(model);
+  recursion.invert();
+  return recursion.s_inv();
 }
 
 template <typename T>
@@ -161,10 +162,9 @@ AcceleratorRunResult Accelerator::run_typed(
     kalman::StrategySpec strategy;
     kalman::StrategyMatrices<T> matrices;
     if (spec_.lite) {
-      Matrix<double> s0_inv =
-          linalg::invert_lu(first_innovation_covariance(model));
       strategy.kind = kalman::StrategyKind::kLite;
-      matrices.preloaded_inverse = s0_inv.template cast<T>();
+      matrices.preloaded_inverse =
+          first_innovation_inverse(model).template cast<T>();
     } else if (spec_.calc == CalcUnit::kConstant) {
       // SSKF/Newton: constant S^-1 from the converged innovation
       // covariance, optionally refined by `approx` Newton iterations.

@@ -8,10 +8,14 @@
 // target accuracy from that seed.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "kalman/calculation_strategies.hpp"
 #include "kalman/model.hpp"
+#include "kalman/recursion.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/newton.hpp"
 #include "linalg/norms.hpp"
@@ -19,35 +23,19 @@
 
 namespace kalmmind::kalman {
 
-// S_0 .. S_{steps-1} of the (data-independent) covariance recursion.
+// S_0 .. S_{steps-1} of the (data-independent) covariance recursion, on
+// the filter's own GainRecursion with an exact LU inverse.
 template <typename T>
 std::vector<Matrix<T>> innovation_covariance_sequence(
     const KalmanModel<T>& model, std::size_t steps) {
   model.validate();
+  GainRecursion<T> recursion(
+      model, std::make_unique<CalculationStrategy<T>>(CalcMethod::kLu));
   std::vector<Matrix<T>> out;
   out.reserve(steps);
-  Matrix<T> p = model.p0;
   for (std::size_t n = 0; n < steps; ++n) {
-    Matrix<T> fp, p_pred;
-    linalg::multiply_into(fp, model.f, p);
-    linalg::multiply_bt_into(p_pred, fp, model.f);
-    p_pred += model.q;
-
-    Matrix<T> hp, s;
-    linalg::multiply_into(hp, model.h, p_pred);
-    linalg::multiply_bt_into(s, hp, model.h);
-    s += model.r;
-
-    Matrix<T> s_inv = linalg::invert_lu(s);
-    Matrix<T> pht;
-    linalg::multiply_bt_into(pht, p_pred, model.h);
-    Matrix<T> k;
-    linalg::multiply_into(k, pht, s_inv);
-    Matrix<T> kh;
-    linalg::multiply_into(kh, k, model.h);
-    linalg::multiply_into(p, linalg::identity_minus(kh), p_pred);
-
-    out.push_back(std::move(s));
+    recursion.step(model);
+    out.push_back(recursion.s());
   }
   return out;
 }

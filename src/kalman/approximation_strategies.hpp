@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/realtime.hpp"
@@ -63,10 +62,6 @@ class NewtonClassicStrategy final : public InverseStrategy<T> {
   }
 
   void reset() override {}
-
-  std::string name() const override {
-    return "newton-classic(m=" + std::to_string(iterations_) + ")";
-  }
 
  private:
   std::size_t iterations_;
@@ -153,10 +148,6 @@ class TaylorStrategy final : public InverseStrategy<T> {
     last_event_ = {};
   }
 
-  std::string name() const override {
-    return "taylor(order=" + std::to_string(order_) + ")";
-  }
-
  private:
   std::size_t order_;
   bool anchored_ = false;
@@ -213,8 +204,6 @@ class IfkfStrategy final : public InverseStrategy<T> {
   }
 
   void reset() override {}
-
-  std::string name() const override { return "ifkf"; }
 
  private:
   Matrix<T> r_;

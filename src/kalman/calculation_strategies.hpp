@@ -63,8 +63,6 @@ class CalculationStrategy final : public InverseStrategy<T> {
 
   void reset() override {}
 
-  std::string name() const override { return to_string(method_); }
-
   // Every step already runs the calculation path.
   bool request_calculation() override { return true; }
 

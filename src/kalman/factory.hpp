@@ -1,34 +1,28 @@
-// Factory for InverseStrategy implementations, keyed by a typed
-// StrategySpec (kalman/strategy_spec.hpp).
+// Factory for InverseStrategy implementations, keyed by StrategySpec
+// (kalman/strategy_spec.hpp), the one identity of a strategy choice.
+// Call sites (the CLI, the accelerator datapath dispatch, the decode
+// server's session configs) describe the strategy they want as a spec, or
+// its StrategySpec::format() text, and build it here.
 //
-// Call sites that used to hand-wire `std::make_unique<XStrategy<T>>(...)`
-// (the CLI, the accelerator datapath dispatch, the decode server's session
-// configs) go through one spec -> strategy mapping instead, so a strategy
-// choice can travel through configs, flags and RPCs as a comparable value
-// (or its StrategySpec::format() text form).
+//   text form (kind defaults)     strategy                        matrices
+//   ----------------------------  ------------------------------  ----------
+//   gauss | lu | cholesky | qr    CalculationStrategy(method)     —
+//   newton(m=2)                   NewtonClassicStrategy           —
+//   taylor(order=2)               TaylorStrategy                  —
+//   ifkf(iters=12)                IfkfStrategy                    r (opt.)
+//   interleaved(calc=gauss,       InterleavedStrategy             —
+//     calc_freq=0,approx=1,
+//     policy=0)
+//   lite                          LiteStrategy                    preloaded
+//   sskf(approx=1)                ConstantInverseStrategy         preloaded
 //
-//   kind          strategy                        spec fields used
-//   ------------  ------------------------------  --------------------------
-//   kGauss        CalculationStrategy(kGauss)     —
-//   kLu           CalculationStrategy(kLu)        —
-//   kCholesky     CalculationStrategy(kCholesky)  —
-//   kQr           CalculationStrategy(kQr)        —
-//   kNewton       NewtonClassicStrategy           newton_iterations
-//   kTaylor       TaylorStrategy                  taylor_order
-//   kIfkf         IfkfStrategy                    ifkf_iterations, matrices.r
-//   kInterleaved  InterleavedStrategy             calc_method, calc_freq,
-//                                                 approx, policy
-//   kLite         LiteStrategy                    matrices.preloaded_inverse
-//   kSskf         ConstantInverseStrategy         matrices.preloaded_inverse,
-//                                                 approx
-//
-// The historical string-keyed overload survives as a thin wrapper that
-// parses the name into a spec, so existing call sites keep compiling.
+// "preloaded" is StrategyMatrices::preloaded_inverse (LITE's first Newton
+// seed, SSKF's constant S^-1); "r" is the true observation noise IFKF
+// diagonalizes.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "kalman/approximation_strategies.hpp"
 #include "kalman/calculation_strategies.hpp"
@@ -43,8 +37,8 @@ namespace detail {
 
 // Transparent decorator counting invert() calls per factory name, so the
 // registry reports how often each named strategy actually ran
-// (kalmmind.kf.strategy_invert_total.<name>).  Forwards everything else,
-// including name(), unchanged.
+// (kalmmind.kf.strategy_invert_total.<name>).  Forwards everything else
+// unchanged.
 template <typename T>
 class CountedStrategy final : public InverseStrategy<T> {
  public:
@@ -58,7 +52,6 @@ class CountedStrategy final : public InverseStrategy<T> {
   }
   InverseEvent last_event() const override { return inner_->last_event(); }
   void reset() override { inner_->reset(); }
-  std::string name() const override { return inner_->name(); }
   bool request_calculation() override { return inner_->request_calculation(); }
   bool harden_seed_policy() override { return inner_->harden_seed_policy(); }
 
@@ -66,47 +59,6 @@ class CountedStrategy final : public InverseStrategy<T> {
   InverseStrategyPtr<T> inner_;
   telemetry::Counter& counter_;
 };
-
-}  // namespace detail
-
-// Everything any strategy may need, with workable defaults.  Unused fields
-// are ignored by strategies that do not consume them.
-template <typename T>
-struct StrategyParams {
-  // "interleaved": which direct method runs on calculation iterations.
-  CalcMethod calc_method = CalcMethod::kGauss;
-  // "interleaved" (all fields) and "sskf" (approx = Newton refinements of
-  // the constant inverse; 0 serves it unchanged).
-  InterleaveConfig interleave;
-  // "newton": internal Newton-Raphson iterations per KF step.
-  std::size_t newton_iterations = 2;
-  // "taylor": series order (1 returns the anchor inverse unchanged).
-  std::size_t taylor_order = 2;
-  // "ifkf": division-free iterations after band truncation.
-  std::size_t ifkf_iterations = 12;
-  // "ifkf": the true observation-noise covariance to diagonalize (optional).
-  Matrix<T> r;
-  // "lite": the preloaded first seed.  "sskf": the constant S^-1.  Both
-  // reject an empty matrix — there is no data-independent default.
-  Matrix<T> preloaded_inverse;
-};
-
-// The names make_inverse_strategy accepts, in stable order.
-inline const std::vector<std::string>& inverse_strategy_names() {
-  static const std::vector<std::string> names = {
-      "gauss", "lu",   "cholesky",    "qr",   "newton",
-      "taylor", "ifkf", "interleaved", "lite", "sskf"};
-  return names;
-}
-
-inline bool is_inverse_strategy_name(const std::string& name) {
-  for (const auto& n : inverse_strategy_names()) {
-    if (n == name) return true;
-  }
-  return false;
-}
-
-namespace detail {
 
 template <typename T>
 InverseStrategyPtr<T> make_inverse_strategy_impl(
@@ -172,32 +124,6 @@ InverseStrategyPtr<T> make_inverse_strategy(
   } else {
     return built;
   }
-}
-
-// Thin string-keyed wrapper: parses `name` (a bare factory name or a full
-// StrategySpec::format() string) and forwards the legacy StrategyParams
-// fields into the spec.  Throws std::invalid_argument for an unknown name
-// (message lists the valid vocabulary).
-template <typename T>
-InverseStrategyPtr<T> make_inverse_strategy(
-    const std::string& name, const StrategyParams<T>& params = {}) {
-  StrategySpec spec = StrategySpec::parse(name);
-  // A bare name carries no parameters: the legacy params struct supplies
-  // them.  A full format() string already parsed its own; only override
-  // from params when the text had no argument list.
-  if (name.find('(') == std::string::npos) {
-    spec.calc_method = params.calc_method;
-    spec.calc_freq = params.interleave.calc_freq;
-    spec.approx = params.interleave.approx;
-    spec.policy = params.interleave.policy;
-    spec.newton_iterations = params.newton_iterations;
-    spec.taylor_order = params.taylor_order;
-    spec.ifkf_iterations = params.ifkf_iterations;
-  }
-  StrategyMatrices<T> matrices;
-  matrices.r = params.r;
-  matrices.preloaded_inverse = params.preloaded_inverse;
-  return make_inverse_strategy<T>(spec, matrices);
 }
 
 }  // namespace kalmmind::kalman

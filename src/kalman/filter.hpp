@@ -18,8 +18,8 @@
 #include "common/realtime.hpp"
 #include "kalman/health.hpp"
 #include "kalman/model.hpp"
+#include "kalman/recursion.hpp"
 #include "kalman/strategy.hpp"
-#include "kalman/workspace.hpp"
 #include "linalg/ops.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -53,6 +53,47 @@ struct FilterTelemetry {
             "kalmmind.kf.step_allocations_total")};
     return t;
   }
+};
+
+// Keeps the kalmmind.kf.workspace_bytes gauge equal to the total workspace
+// bytes of all live filters: each owner reports its own byte count and the
+// reporter applies the delta; the destructor (and move-from) retires the
+// contribution.  Move-aware so filters returned by value (reference.hpp
+// factories) do not double-count.
+class WorkspaceBytesReporter {
+ public:
+  WorkspaceBytesReporter() = default;
+  WorkspaceBytesReporter(const WorkspaceBytesReporter&) = delete;
+  WorkspaceBytesReporter& operator=(const WorkspaceBytesReporter&) = delete;
+  WorkspaceBytesReporter(WorkspaceBytesReporter&& other) noexcept
+      : reported_(other.reported_) {
+    other.reported_ = 0;
+  }
+  WorkspaceBytesReporter& operator=(WorkspaceBytesReporter&& other) noexcept {
+    if (this != &other) {
+      report(0);
+      reported_ = other.reported_;
+      other.reported_ = 0;
+    }
+    return *this;
+  }
+  ~WorkspaceBytesReporter() { report(0); }
+
+  // reported_ only advances while telemetry is enabled (Gauge::add is a
+  // gated no-op otherwise), so enable -> disable cycles never leave the
+  // gauge with a negative phantom contribution on destruction.
+  void report(std::size_t bytes) noexcept {
+    if constexpr (telemetry::kCompiledIn) {
+      if (!telemetry::enabled() || bytes == reported_) return;
+      telemetry::MetricsRegistry::global()
+          .gauge("kalmmind.kf.workspace_bytes")
+          .add(static_cast<double>(bytes) - static_cast<double>(reported_));
+      reported_ = bytes;
+    }
+  }
+
+ private:
+  std::size_t reported_ = 0;
 };
 
 }  // namespace detail
@@ -109,32 +150,27 @@ class KalmanFilter {
   KalmanFilter(KalmanModel<T> model, InverseStrategyPtr<T> strategy,
                FilterOptions options = {})
       : model_(std::move(model)),
-        strategy_(std::move(strategy)),
-        options_(options),
+        recursion_(model_, std::move(strategy), options.joseph_update),
         health_(options.health) {
     model_.validate();
-    options_.validate();
-    if (!strategy_) {
-      throw std::invalid_argument("KalmanFilter: null inverse strategy");
-    }
-    ws_.reserve(model_.x_dim(), model_.z_dim(), options_.joseph_update);
-    ws_reporter_.report(ws_.bytes());
+    options.validate();
+    correction_.reserve(model_.x_dim(), model_.z_dim());
+    ws_reporter_.report(workspace_bytes());
     reset();
   }
 
   void reset() {
     x_ = model_.x0;
     x_pred_ = model_.x0;
-    p_ = model_.p0;
-    iteration_ = 0;
-    strategy_->reset();
+    recursion_.reset(model_);
     health_.reset();
     last_inverse_event_ = {};
   }
 
   // One KF iteration with measurement z; returns the new state estimate.
-  // All temporaries live in the per-filter workspace: after the first step
-  // this performs zero heap allocations (tests/kalman/workspace_test.cpp).
+  // All temporaries live in the recursion and correction workspaces: after
+  // the first step this performs zero heap allocations
+  // (tests/kalman/workspace_test.cpp).
   const Vector<T>& step(const Vector<T>& z) KALMMIND_REALTIME {
     if (z.size() != model_.z_dim()) {
       // kalmmind-lint: allow(RT3) shape-mismatch is a caller bug, not a runtime condition; it aborts the step before any filter state mutates
@@ -148,44 +184,30 @@ class KalmanFilter {
     const std::uint64_t allocs_before = linalg::thread_buffer_allocations();
     {
       telemetry::Span span("kf.predict", "kf");
-      // Predict.  P' = F P F^t + Q runs through the symmetric sandwich
-      // kernel (upper triangle + mirror): P is symmetric up to rounding,
-      // so the mirrored product matches the full one within rounding and
-      // keeps P' EXACTLY symmetric, which the pht shortcut below needs.
       linalg::multiply_into(x_pred_, model_.f, x_);
-      linalg::symmetric_sandwich_into(ws_.p_pred, model_.f, p_, ws_.fp);
-      ws_.p_pred += model_.q;
+      recursion_.predict(model_);
     }
-    const Vector<T>& x_pred = x_pred_;
 
     {
       telemetry::Span span("kf.compute_k", "kf");
+      recursion_.compute_s(model_);
 
-      // Innovation covariance S = H P' H^t + R (same sandwich kernel; the
-      // H*P' panel is kept for the pht shortcut).
-      linalg::symmetric_sandwich_into(ws_.s, model_.h, ws_.p_pred, ws_.hp);
-      ws_.s += model_.r;
-
-      // Kalman gain K = P' H^t S^-1.  The S-inverse is the swappable
-      // calc-vs-approx module, so it gets its own span named by the path
-      // the strategy actually took.
+      // The S-inverse is the swappable calc-vs-approx module, so it gets
+      // its own span named by the path the strategy actually took.
       telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
       const bool tracing = tracer.enabled();
       const double t0_us = tracing ? tracer.now_us() : 0.0;
-      strategy_->invert_into(ws_.s_inv, ws_.s, iteration_);
-      InverseEvent inv_event = strategy_->last_event();
+      InverseEvent inv_event = recursion_.invert();
       // A Newton approximation whose probe residual exceeds the eq. (3)
       // basin is repaired within the same step: force and run the exact
       // calculation path now, so the bad gain never reaches the update.
       if (health_.enabled() &&
           inv_event.path == InversePath::kApproximation &&
-          !health_.approx_residual_ok(ws_.s, ws_.s_inv) &&
-          strategy_->request_calculation()) {
-        strategy_->invert_into(ws_.s_inv, ws_.s, iteration_);
-        inv_event = strategy_->last_event();
+          !health_.approx_residual_ok(recursion_.s(), recursion_.s_inv()) &&
+          recursion_.strategy().request_calculation()) {
+        inv_event = recursion_.invert();
         health_.note_forced_calculation();
       }
-      last_inverse_event_ = inv_event;
       if (tracing && tracer.enabled()) {
         const char* path_name =
             inv_event.path == InversePath::kCalculation ? "kf.s_inverse.calc"
@@ -197,58 +219,24 @@ class KalmanFilter {
                         "\"newton_iterations\":" +
                             std::to_string(inv_event.newton_iterations));
       }
-      if (telemetry::enabled()) {
-        // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state steps only touch the returned counters' atomics
-        auto& ft = detail::FilterTelemetry::get();
-        switch (inv_event.path) {
-          case InversePath::kCalculation: ft.invert_calculation.add(); break;
-          case InversePath::kApproximation:
-            ft.invert_approximation.add();
-            break;
-          case InversePath::kNone: ft.invert_none.add(); break;
-        }
-        ft.newton_inner_iterations.add(inv_event.newton_iterations);
-        ft.steps.add();
-      }
-
-      // P' H^t = (H P')^t: P' is exactly symmetric by construction of the
-      // sandwich kernel, so transposing the already-computed H*P' panel is
-      // bit-identical to the dense product and saves a full GEMM.
-      linalg::transpose_into(ws_.pht, ws_.hp);
-      linalg::multiply_into(ws_.k, ws_.pht, ws_.s_inv);
+      count_step(inv_event);
+      recursion_.compute_k();
     }
 
     {
       telemetry::Span span("kf.update", "kf");
-
-      // Update state: x = x' + K (z - H x').
-      linalg::multiply_into(ws_.hx, model_.h, x_pred);
-      ws_.innovation = z;
-      ws_.innovation -= ws_.hx;
-      if (health_.enabled()) {
-        health_.gate_innovation(ws_.innovation, ws_.s);
-      }
-      linalg::multiply_into(ws_.correction, ws_.k, ws_.innovation);
-      x_ = x_pred;
-      x_ += ws_.correction;
-
-      // Update covariance.
-      linalg::multiply_into(ws_.kh, ws_.k, model_.h);
-      linalg::identity_minus_into(ws_.i_minus_kh, ws_.kh);
-      if (options_.joseph_update) {
-        // P = (I-KH) P' (I-KH)^t + K R K^t
-        linalg::multiply_into(ws_.joseph_tmp, ws_.i_minus_kh, ws_.p_pred);
-        linalg::multiply_bt_into(p_, ws_.joseph_tmp, ws_.i_minus_kh);
-        linalg::multiply_into(ws_.kr, ws_.k, model_.r);
-        linalg::multiply_bt_into(ws_.krk, ws_.kr, ws_.k);
-        p_ += ws_.krk;
-      } else {
-        linalg::multiply_into(p_, ws_.i_minus_kh, ws_.p_pred);
-      }
+      correction_.apply(x_, x_pred_, model_.h, recursion_.k(), z,
+                        [this](Vector<T>& innovation) {
+                          if (health_.enabled()) {
+                            health_.gate_innovation(innovation,
+                                                    recursion_.s());
+                          }
+                        });
+      recursion_.update_covariance(model_);
     }
 
     if (health_.enabled()) {
-      health_.post_step(x_, p_, model_, *strategy_);
+      health_.post_step(x_, recursion_.p(), model_, recursion_.strategy());
     }
 
     if (telemetry::enabled()) {
@@ -256,10 +244,10 @@ class KalmanFilter {
       detail::FilterTelemetry::get().step_allocations.add(
           linalg::thread_buffer_allocations() - allocs_before);
       // kalmmind-lint: allow(RT1,RT2) gauge registration happens on the first report only; later reports store to the cached handle's atomic
-      ws_reporter_.report(ws_.bytes());
+      ws_reporter_.report(workspace_bytes());
     }
 
-    ++iteration_;
+    recursion_.advance();
     return x_;
   }
 
@@ -271,11 +259,11 @@ class KalmanFilter {
     out.events.reserve(measurements.size());
     for (const auto& z : measurements) {
       out.states.push_back(step(z));
-      // Not strategy_->last_event(): recovery paths (predict-only, SSKF
+      // Not strategy().last_event(): recovery paths (predict-only, SSKF
       // fallback) run no inversion, which the strategy cannot know.
       out.events.push_back(last_inverse_event_);
     }
-    out.final_covariance = p_;
+    out.final_covariance = recursion_.p();
     return out;
   }
 
@@ -301,7 +289,7 @@ class KalmanFilter {
     }
     x_ = std::move(x);
     x_pred_ = x_;
-    p_ = std::move(p);
+    recursion_.p() = std::move(p);
   }
 
   const Vector<T>& state() const { return x_; }
@@ -309,13 +297,15 @@ class KalmanFilter {
   // measurement update).  Adaptive decoders regress on this instead of the
   // posterior to avoid absorbing same-step measurement noise into H.
   const Vector<T>& last_prediction() const { return x_pred_; }
-  const Matrix<T>& covariance() const { return p_; }
-  std::size_t iteration() const { return iteration_; }
+  const Matrix<T>& covariance() const { return recursion_.p(); }
+  std::size_t iteration() const { return recursion_.iteration(); }
   const KalmanModel<T>& model() const { return model_; }
-  InverseStrategy<T>& strategy() { return *strategy_; }
+  InverseStrategy<T>& strategy() { return recursion_.strategy(); }
   // Heap bytes owned by the per-filter step workspace (excludes strategy
   // internals); exported as the kalmmind.kf.workspace_bytes gauge.
-  std::size_t workspace_bytes() const { return ws_.bytes(); }
+  std::size_t workspace_bytes() const {
+    return recursion_.bytes() + correction_.bytes();
+  }
   // Health-monitor verdicts and recovery counts (kalman/health.hpp).
   const HealthStats& health() const { return health_.stats(); }
   const HealthConfig& health_config() const { return health_.config(); }
@@ -330,19 +320,12 @@ class KalmanFilter {
   // still health-checked — an unstable F can blow it up on its own.
   const Vector<T>& predict_only_step() {
     linalg::multiply_into(x_pred_, model_.f, x_);
-    linalg::symmetric_sandwich_into(ws_.p_pred, model_.f, p_, ws_.fp);
-    ws_.p_pred += model_.q;
+    recursion_.predict(model_);
     x_ = x_pred_;
-    p_ = ws_.p_pred;
-    health_.post_step(x_, p_, model_, *strategy_);
-    last_inverse_event_ = {InversePath::kNone, 0};
-    if (telemetry::enabled()) {
-      // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state steps only touch the returned counters' atomics
-      auto& ft = detail::FilterTelemetry::get();
-      ft.invert_none.add();
-      ft.steps.add();
-    }
-    ++iteration_;
+    recursion_.p() = recursion_.p_pred();
+    health_.post_step(x_, recursion_.p(), model_, recursion_.strategy());
+    count_step({InversePath::kNone, 0});
+    recursion_.advance();
     return x_;
   }
 
@@ -351,39 +334,40 @@ class KalmanFilter {
   const Vector<T>& fallback_step(const Vector<T>& z) {
     linalg::multiply_into(x_pred_, model_.f, x_);
     if (health_.measurement_ok(z)) {
-      linalg::multiply_into(ws_.hx, model_.h, x_pred_);
-      ws_.innovation = z;
-      ws_.innovation -= ws_.hx;
-      linalg::multiply_into(ws_.correction, *health_.fallback_gain(),
-                            ws_.innovation);
-      x_ = x_pred_;
-      x_ += ws_.correction;
+      correction_.apply(x_, x_pred_, model_.h, *health_.fallback_gain(), z);
     } else {
       x_ = x_pred_;
     }
     health_.fallback_post_step(x_, model_);
-    last_inverse_event_ = {InversePath::kNone, 0};
-    if (telemetry::enabled()) {
-      // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state steps only touch the returned counters' atomics
-      auto& ft = detail::FilterTelemetry::get();
-      ft.invert_none.add();
-      ft.steps.add();
-    }
-    ++iteration_;
+    count_step({InversePath::kNone, 0});
+    recursion_.advance();
     return x_;
   }
 
+  // Record the inversion path this step took and count the step into the
+  // kalmmind.kf.* counters.
+  void count_step(const InverseEvent& event) {
+    last_inverse_event_ = event;
+    if (!telemetry::enabled()) return;
+    // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state steps only touch the returned counters' atomics
+    auto& ft = detail::FilterTelemetry::get();
+    switch (event.path) {
+      case InversePath::kCalculation: ft.invert_calculation.add(); break;
+      case InversePath::kApproximation: ft.invert_approximation.add(); break;
+      case InversePath::kNone: ft.invert_none.add(); break;
+    }
+    ft.newton_inner_iterations.add(event.newton_iterations);
+    ft.steps.add();
+  }
+
   KalmanModel<T> model_;
-  InverseStrategyPtr<T> strategy_;
-  FilterOptions options_;
   Vector<T> x_;
   Vector<T> x_pred_;
-  Matrix<T> p_;
-  KfWorkspace<T> ws_;
+  GainRecursion<T> recursion_;
+  StateCorrection<T> correction_;
   detail::WorkspaceBytesReporter ws_reporter_;
   NumericalHealthMonitor<T> health_;
   InverseEvent last_inverse_event_;
-  std::size_t iteration_ = 0;
 };
 
 }  // namespace kalmmind::kalman

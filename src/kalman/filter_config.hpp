@@ -30,7 +30,7 @@ struct FilterConfig {
 
   // Non-throwing validation: covers the model shapes, the options, the
   // spec, and the spec/matrices pairing (lite/sskf need a preloaded
-  // inverse of the innovation size).
+  // inverse of the innovation size; a given R must be z_dim x z_dim).
   [[nodiscard]] Status check() const noexcept {
     if (Status s = model.check(); !s.ok()) return s;
     if (Status s = options.check(); !s.ok()) return s;
@@ -41,11 +41,14 @@ struct FilterConfig {
       return Status::Invalid(
           "FilterConfig: lite/sskf need StrategyMatrices::preloaded_inverse");
     }
+    // model.check() passed, so R is the z_dim x z_dim reference shape.
     if (!strategy_data.preloaded_inverse.empty() &&
-        (strategy_data.preloaded_inverse.rows() != model.z_dim() ||
-         strategy_data.preloaded_inverse.cols() != model.z_dim())) {
+        !strategy_data.preloaded_inverse.same_shape(model.r)) {
       return Status::Invalid(
           "FilterConfig: preloaded_inverse must be z_dim x z_dim");
+    }
+    if (!strategy_data.r.empty() && !strategy_data.r.same_shape(model.r)) {
+      return Status::Invalid("FilterConfig: strategy R must be z_dim x z_dim");
     }
     return Status::Ok();
   }

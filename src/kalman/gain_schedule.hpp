@@ -5,10 +5,10 @@
 // depend only on the model, the options and the inverse strategy — never
 // on a measurement.  Every session running the same FilterConfig therefore
 // walks an *identical* K/P trajectory, and DecodeServer used to recompute
-// it once per session.  A GainSchedule computes the trajectory once,
-// replaying the filter's exact kernel sequence (same ops, same order, so
-// entries are bit-identical to what a solo KalmanFilter would produce),
-// and hands out immutable ref-counted entries.
+// it once per session.  A GainSchedule computes the trajectory once on
+// the filter's own GainRecursion (kalman/recursion.hpp: same ops, same
+// order, so entries are bit-identical to what a solo KalmanFilter would
+// produce), and hands out immutable ref-counted entries.
 //
 // Memory is bounded by a sliding window: once more than `window` entries
 // exist the oldest are dropped and at() returns nullptr for them — a
@@ -37,7 +37,7 @@
 #include <utility>
 
 #include "kalman/filter_config.hpp"
-#include "linalg/ops.hpp"
+#include "kalman/recursion.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace kalmmind::kalman {
@@ -58,11 +58,8 @@ class GainSchedule {
       : config_(std::move(config)),
         fingerprint_(config_.fingerprint()),
         window_(window == 0 ? 1 : window),
-        strategy_(config_.make_strategy()),
-        p_(config_.model.p0) {
-    ws_.reserve(config_.model.x_dim(), config_.model.z_dim(),
-                config_.options.joseph_update);
-  }
+        recursion_(config_.model, config_.make_strategy(),
+                   config_.options.joseph_update) {}
 
   static constexpr std::size_t kDefaultWindow = 4096;
 
@@ -74,7 +71,7 @@ class GainSchedule {
   // of the window — those are computed on demand).
   std::shared_ptr<const Entry> at(std::size_t n) {
     std::lock_guard<std::mutex> lock(mu_);
-    while (computed_ <= n) advance_locked();
+    while (recursion_.iteration() <= n) advance_locked();
     if (n < base_) return nullptr;
     return window_entries_[n - base_];
   }
@@ -82,7 +79,7 @@ class GainSchedule {
   // Iterations computed so far ([base, computed) are resident).
   std::size_t computed() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return computed_;
+    return recursion_.iteration();
   }
   std::size_t base() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -90,36 +87,16 @@ class GainSchedule {
   }
 
  private:
-  // One measurement-independent KF iteration (mu_ held) — the predict and
-  // compute-K stages of KalmanFilter::step with the identical kernel calls
-  // in the identical order, so K_n and P_n match a solo filter bit for
+  // One measurement-independent KF iteration (mu_ held) on the recursion
+  // KalmanFilter::step runs, so K_n and P_n match a solo filter bit for
   // bit (health monitoring is measurement-dependent and therefore never
   // batched, see serve/batch_group.hpp).
   void advance_locked() {
     auto entry = std::make_shared<Entry>();
-    linalg::symmetric_sandwich_into(ws_.p_pred, config_.model.f, p_, ws_.fp);
-    ws_.p_pred += config_.model.q;
-    linalg::symmetric_sandwich_into(ws_.s, config_.model.h, ws_.p_pred,
-                                    ws_.hp);
-    ws_.s += config_.model.r;
-    strategy_->invert_into(ws_.s_inv, ws_.s, computed_);
-    entry->event = strategy_->last_event();
-    linalg::transpose_into(ws_.pht, ws_.hp);
-    linalg::multiply_into(entry->k, ws_.pht, ws_.s_inv);
-    linalg::multiply_into(ws_.kh, entry->k, config_.model.h);
-    linalg::identity_minus_into(ws_.i_minus_kh, ws_.kh);
-    if (config_.options.joseph_update) {
-      linalg::multiply_into(ws_.joseph_tmp, ws_.i_minus_kh, ws_.p_pred);
-      linalg::multiply_bt_into(p_, ws_.joseph_tmp, ws_.i_minus_kh);
-      linalg::multiply_into(ws_.kr, entry->k, config_.model.r);
-      linalg::multiply_bt_into(ws_.krk, ws_.kr, entry->k);
-      p_ += ws_.krk;
-    } else {
-      linalg::multiply_into(p_, ws_.i_minus_kh, ws_.p_pred);
-    }
-    entry->p_after = p_;
+    entry->event = recursion_.step(config_.model);
+    entry->k = recursion_.k();
+    entry->p_after = recursion_.p();
     window_entries_.push_back(std::move(entry));
-    ++computed_;
     while (window_entries_.size() > window_) {
       window_entries_.pop_front();
       ++base_;
@@ -131,12 +108,11 @@ class GainSchedule {
   const std::size_t window_;
 
   mutable std::mutex mu_;
-  InverseStrategyPtr<double> strategy_;  // advanced strictly in order
-  Matrix<double> p_;                     // posterior P of iteration computed_-1
-  KfWorkspace<double> ws_;
+  // Advanced strictly in order; its iteration() is one past the newest
+  // computed entry.
+  GainRecursion<double> recursion_;
   std::deque<std::shared_ptr<const Entry>> window_entries_;
-  std::size_t base_ = 0;      // iteration of window_entries_.front()
-  std::size_t computed_ = 0;  // one past the newest computed iteration
+  std::size_t base_ = 0;  // iteration of window_entries_.front()
 };
 
 // Bounded, LRU-evicting memo of GainSchedules keyed by config fingerprint

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
-#include <string>
 
 #include "common/realtime.hpp"
 #include "kalman/calculation_strategies.hpp"
@@ -34,11 +33,6 @@ enum class SeedPolicy {
   kLastCalculated = 0,     // eq. (5)
   kPreviousIteration = 1,  // eq. (4)
 };
-
-inline const char* to_string(SeedPolicy p) {
-  return p == SeedPolicy::kLastCalculated ? "last-calculated"
-                                          : "previous-iteration";
-}
 
 struct InterleaveConfig {
   std::size_t calc_freq = 0;  // 0 => calculate only at iteration 0
@@ -120,13 +114,6 @@ class InterleavedStrategy final : public InverseStrategy<T> {
     return true;
   }
 
-  std::string name() const override {
-    return std::string(to_string(calc_method_)) +
-           "/newton(calc_freq=" + std::to_string(config_.calc_freq) +
-           ",approx=" + std::to_string(config_.approx) +
-           ",policy=" + to_string(config_.policy) + ")";
-  }
-
   const InterleaveConfig& config() const { return config_; }
   CalcMethod calc_method() const { return calc_method_; }
 
@@ -164,8 +151,6 @@ class LiteStrategy final : public InverseStrategy<T> {
 
   void reset() override { previous_ = initial_seed_; }
 
-  std::string name() const override { return "lite"; }
-
  private:
   Matrix<T> initial_seed_;
   Matrix<T> previous_;
@@ -197,10 +182,6 @@ class ConstantInverseStrategy final : public InverseStrategy<T> {
   }
 
   void reset() override {}
-
-  std::string name() const override {
-    return "sskf-inverse(approx=" + std::to_string(approx_) + ")";
-  }
 
  private:
   Matrix<T> constant_inverse_;

@@ -9,6 +9,7 @@
 #include "kalman/filter.hpp"
 #include "kalman/interleaved.hpp"
 #include "kalman/model.hpp"
+#include "kalman/recursion.hpp"
 #include "kalman/reference.hpp"
 #include "kalman/sskf.hpp"
 #include "kalman/strategy.hpp"

@@ -8,15 +8,16 @@
 // falls back to the steady-state constant gain.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
+#include "kalman/calculation_strategies.hpp"
 #include "kalman/model.hpp"
-#include "linalg/lu.hpp"
+#include "kalman/recursion.hpp"
 #include "linalg/norms.hpp"
-#include "linalg/ops.hpp"
 
 namespace kalmmind::kalman {
 
@@ -30,49 +31,29 @@ struct SteadyState {
   std::size_t iterations = 0;  // recursion steps until convergence
 };
 
-// Iterate the (data-independent) covariance recursion until the gain
-// stops moving: ||K_n - K_{n-1}||_F < tol * max(1, ||K_n||_F).
+// Iterate the (data-independent) covariance recursion with an exact LU
+// inverse until the gain stops moving:
+//   ||K_n - K_{n-1}||_F < tol * max(1, ||K_n||_F).
+// The strategy is built directly rather than through the factory, so the
+// solver counts into no kalmmind.kf.* metric.
 template <typename T>
 SteadyState<T> solve_steady_state(const KalmanModel<T>& model,
                                   double tol = 1e-12,
                                   std::size_t max_iterations = 10000) {
   model.validate();
-  Matrix<T> p = model.p0;
-  Matrix<T> k_prev;
-  SteadyState<T> out;
-
-  // All recursion temporaries are hoisted out of the loop (and the two
-  // covariance products use the symmetric sandwich kernel), so each Riccati
-  // iteration after the first only allocates inside invert_lu.
-  Matrix<T> fp, p_pred, hp, s, s_inv, pht, k, kh, i_minus_kh, dk;
+  GainRecursion<T> recursion(
+      model, std::make_unique<CalculationStrategy<T>>(CalcMethod::kLu));
+  Matrix<T> k_prev, dk;
   for (std::size_t n = 0; n < max_iterations; ++n) {
-    // Predict covariance.
-    linalg::symmetric_sandwich_into(p_pred, model.f, p, fp);
-    p_pred += model.q;
-
-    // Gain.
-    linalg::symmetric_sandwich_into(s, model.h, p_pred, hp);
-    s += model.r;
-    s_inv = linalg::invert_lu(s);
-    linalg::transpose_into(pht, hp);  // P' H^t: P' is exactly symmetric
-    linalg::multiply_into(k, pht, s_inv);
-
-    // Update covariance.
-    linalg::multiply_into(kh, k, model.h);
-    linalg::identity_minus_into(i_minus_kh, kh);
-    linalg::multiply_into(p, i_minus_kh, p_pred);
-
+    recursion.step(model);
+    const Matrix<T>& k = recursion.k();
     if (n > 0) {
       dk = k;
       dk -= k_prev;
       const double knorm = linalg::frobenius_norm(k);
       if (linalg::frobenius_norm(dk) < tol * std::max(1.0, knorm)) {
-        out.k = std::move(k);
-        out.s = std::move(s);
-        out.s_inv = std::move(s_inv);
-        out.p_pred = std::move(p_pred);
-        out.iterations = n + 1;
-        return out;
+        return {k, recursion.s(), recursion.s_inv(), recursion.p_pred(),
+                n + 1};
       }
     }
     k_prev = k;

@@ -16,6 +16,7 @@
 #include "common/realtime.hpp"
 #include "kalman/filter.hpp"
 #include "kalman/model.hpp"
+#include "kalman/recursion.hpp"
 #include "kalman/riccati.hpp"
 #include "linalg/ops.hpp"
 
@@ -48,12 +49,7 @@ class ConstantGainFilter {
       throw std::invalid_argument("ConstantGainFilter::step: bad z size");
     }
     linalg::multiply_into(x_pred_, model_.f, x_);
-    linalg::multiply_into(hx_, model_.h, x_pred_);
-    innovation_ = z;
-    innovation_ -= hx_;
-    linalg::multiply_into(correction_, k_, innovation_);
-    x_ = x_pred_;
-    x_ += correction_;
+    correction_.apply(x_, x_pred_, model_.h, k_, z);
     return x_;
   }
 
@@ -78,9 +74,7 @@ class ConstantGainFilter {
   Matrix<T> k_;
   Vector<T> x_;
   Vector<T> x_pred_;
-  Vector<T> hx_;
-  Vector<T> innovation_;
-  Vector<T> correction_;
+  StateCorrection<T> correction_;
 };
 
 }  // namespace kalmmind::kalman

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 
 #include "linalg/matrix.hpp"
 
@@ -55,8 +54,6 @@ class InverseStrategy {
   virtual InverseEvent last_event() const = 0;
 
   virtual void reset() = 0;
-
-  virtual std::string name() const = 0;
 
   // --- Recovery hooks (kalman/health.hpp) --------------------------------
   // Ask the strategy to run its exact calculation path (path A) on the next

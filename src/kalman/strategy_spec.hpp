@@ -1,11 +1,9 @@
 // Typed identity for an inverse-strategy choice.
 //
-// The string-keyed factory (kalman/factory.hpp) let a strategy choice
-// travel through flags and configs, but a bare name plus a grab-bag
-// StrategyParams is not an *identity*: two sessions cannot ask "are we
-// running the same datapath?" without string-munging.  StrategySpec is the
-// canonical value type for that question — comparable, fingerprintable,
-// and round-trippable through a compact text form:
+// StrategySpec is the one identity of a strategy choice: the factory
+// (kalman/factory.hpp) builds from it, and two sessions ask "are we
+// running the same datapath?" by comparing it.  It is comparable,
+// fingerprintable, and round-trippable through a compact text form:
 //
 //   gauss | lu | cholesky | qr | lite | ifkf(iters=12)
 //   newton(m=2) | taylor(order=2) | sskf(approx=0)
@@ -27,9 +25,11 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "common/fingerprint.hpp"
 #include "common/status.hpp"
@@ -173,38 +173,23 @@ struct StrategySpec {
     return n;
   }
 
-  // Behavioral equality: only the fields this kind consumes participate.
+  // Every field, in declaration order (the fingerprint's mixing order).
+  auto fields() const {
+    return std::tie(kind, calc_method, calc_freq, approx, policy,
+                    newton_iterations, taylor_order, ifkf_iterations,
+                    precision);
+  }
+
+  // Behavioral equality and hash: both see normalized(), so only the
+  // fields this kind consumes (plus precision) participate.
   bool operator==(const StrategySpec& o) const {
-    if (kind != o.kind || precision != o.precision) return false;
-    switch (kind) {
-      case StrategyKind::kInterleaved:
-        return calc_method == o.calc_method && calc_freq == o.calc_freq &&
-               approx == o.approx && policy == o.policy;
-      case StrategyKind::kNewton:
-        return newton_iterations == o.newton_iterations;
-      case StrategyKind::kTaylor:
-        return taylor_order == o.taylor_order;
-      case StrategyKind::kIfkf:
-        return ifkf_iterations == o.ifkf_iterations;
-      case StrategyKind::kSskf:
-        return approx == o.approx;
-      default:
-        return true;
-    }
+    return normalized().fields() == o.normalized().fields();
   }
 
   std::uint64_t fingerprint() const {
-    const StrategySpec n = normalized();
     FingerprintHasher h;
-    h.mix(n.kind);
-    h.mix(n.calc_method);
-    h.mix(n.calc_freq);
-    h.mix(n.approx);
-    h.mix(n.policy);
-    h.mix(n.newton_iterations);
-    h.mix(n.taylor_order);
-    h.mix(n.ifkf_iterations);
-    h.mix(n.precision);
+    std::apply([&h](const auto&... field) { (h.mix(field), ...); },
+               normalized().fields());
     return h.value();
   }
 
@@ -238,31 +223,27 @@ struct StrategySpec {
 
 namespace detail {
 
-inline const char* calc_token(CalcMethod m) {
-  switch (m) {
-    case CalcMethod::kGauss: return "gauss";
-    case CalcMethod::kLu: return "lu";
-    case CalcMethod::kCholesky: return "cholesky";
-    case CalcMethod::kQr: return "qr";
-  }
-  return "?";
-}
-
 inline bool parse_calc_token(std::string_view t, CalcMethod* out) {
-  if (t == "gauss") *out = CalcMethod::kGauss;
-  else if (t == "lu") *out = CalcMethod::kLu;
-  else if (t == "cholesky") *out = CalcMethod::kCholesky;
-  else if (t == "qr") *out = CalcMethod::kQr;
-  else return false;
-  return true;
+  for (CalcMethod m : {CalcMethod::kGauss, CalcMethod::kLu,
+                       CalcMethod::kCholesky, CalcMethod::kQr}) {
+    if (t == to_string(m)) {
+      *out = m;
+      return true;
+    }
+  }
+  return false;
 }
 
+// Digits only, and no value above SIZE_MAX (rejected, never wrapped).
 inline bool parse_spec_size(std::string_view t, std::size_t* out) {
   if (t.empty()) return false;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   std::size_t v = 0;
   for (char c : t) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + std::size_t(c - '0');
+    const std::size_t digit = std::size_t(c - '0');
+    if (v > (kMax - digit) / 10) return false;
+    v = v * 10 + digit;
   }
   *out = v;
   return true;
@@ -286,7 +267,7 @@ inline std::string StrategySpec::format() const {
       out += "(approx=" + std::to_string(approx) + ")";
       break;
     case StrategyKind::kInterleaved:
-      out += "(calc=" + std::string(detail::calc_token(calc_method)) +
+      out += "(calc=" + std::string(to_string(calc_method)) +
              ",calc_freq=" + std::to_string(calc_freq) +
              ",approx=" + std::to_string(approx) +
              ",policy=" + std::to_string(int(policy)) + ")";
@@ -365,7 +346,8 @@ inline std::string StrategySpec::format() const {
     }
     if (!detail::parse_spec_size(value, &n)) {
       return Status::Invalid(
-          "StrategySpec: argument needs a non-negative integer value");
+          "StrategySpec: argument needs a non-negative integer value that "
+          "fits in size_t");
     }
     if (key == "calc_freq") spec.calc_freq = n;
     else if (key == "approx") spec.approx = n;

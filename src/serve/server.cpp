@@ -72,8 +72,7 @@ SessionId DecodeServer::restore_session(SessionConfig config,
 bool DecodeServer::batchable(const SessionConfig& config) const {
   // Health gates read the decoded state, so a health-enabled session's gain
   // trajectory is measurement-dependent: never batch it.
-  return options_.batching && config.allow_batching &&
-         !config.filter.options.health.enabled;
+  return options_.batching && !config.filter.options.health.enabled;
 }
 
 SessionId DecodeServer::admit(SessionConfig config,

@@ -15,9 +15,10 @@
 //    the decoded trajectory — is exactly the single-threaded result, bit for
 //    bit.
 //
-// Batched serving (docs/serving.md): sessions admitted with equal
-// FilterConfigs (and allow_batching, health disabled) share a GainSchedule
-// from the server's GainScheduleCache and decode together in a BatchGroup.
+// Batched serving (docs/serving.md): with ServerOptions::batching on,
+// sessions admitted with equal FilterConfigs (health disabled) share a
+// GainSchedule from the server's GainScheduleCache and decode together in
+// a BatchGroup.
 // Sessions that degrade or fall out of the schedule window eject back to
 // the solo path and get a unit of their own.  A group whose last member is
 // removed or ejected is erased, releasing its schedule; a token still
@@ -138,7 +139,7 @@ class DecodeServer {
   // the snapshot's schedule iteration, pulling gains from this server's
   // (warm) GainScheduleCache — so the continued trajectory is bit-identical
   // to the uninterrupted run.  Requires a batchable config (batching on,
-  // allow_batching, health disabled) whose fingerprint matches the
+  // health disabled) whose fingerprint matches the
   // snapshot; otherwise returns kInvalidSession with the reason in
   // `status`.
   SessionId restore_session(SessionConfig config, const SessionSnapshot& snap,

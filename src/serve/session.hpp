@@ -190,10 +190,6 @@ struct SessionConfig {
   bool record_trajectory = true;
   // Quarantine/restart + deadline degradation (docs/robustness.md).
   SelfHealingConfig self_healing;
-  // Allow the server to group this session with same-config peers
-  // (opt-out knob; the server may still decline, e.g. for health-enabled
-  // filters whose trajectory is measurement-dependent).
-  bool allow_batching = true;
 
   // Non-throwing validation (exception-free session admission).
   [[nodiscard]] Status check() const noexcept {

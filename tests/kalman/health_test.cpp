@@ -88,9 +88,11 @@ TEST(KalmanHealthTest, ConfigRejectsNonsenseThresholds) {
   opts.health.enabled = true;
   opts.health.max_state_abs = -1.0;
   const auto model = testing::small_model(4);
-  EXPECT_THROW(KalmanFilter<double>(
-                   model, make_inverse_strategy<double>("gauss", {}), opts),
-               std::invalid_argument);
+  EXPECT_THROW(
+      KalmanFilter<double>(
+          model, make_inverse_strategy<double>(StrategySpec::parse("gauss")),
+          opts),
+      std::invalid_argument);
 }
 
 TEST(KalmanHealthTest, CleanStreamIsBitIdenticalWithMonitoringOn) {
@@ -99,12 +101,12 @@ TEST(KalmanHealthTest, CleanStreamIsBitIdenticalWithMonitoringOn) {
   const auto model = testing::small_model(5);
   const auto zs = testing::simulate_measurements(model, 60);
 
-  StrategyParams<double> params;
-  params.interleave = {3, 2, SeedPolicy::kPreviousIteration};
+  const StrategySpec spec = StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   KalmanFilter<double> plain(
-      model, make_inverse_strategy<double>("interleaved", params));
+      model, make_inverse_strategy<double>(spec));
   KalmanFilter<double> monitored(
-      model, make_inverse_strategy<double>("interleaved", params),
+      model, make_inverse_strategy<double>(spec),
       health_on());
 
   for (std::size_t n = 0; n < zs.size(); ++n) {
@@ -254,10 +256,12 @@ TEST(KalmanHealthTest, LadderSkipsRungsAConstantStrategyCannotHonor) {
   FilterOptions opts;
   opts.health.enabled = true;
   opts.health.max_state_abs = 1e3;
-  StrategyParams<double> params;
-  params.preloaded_inverse = solve_steady_state(model).s_inv;
+  StrategyMatrices<double> preloaded;
+  preloaded.preloaded_inverse = solve_steady_state(model).s_inv;
   KalmanFilter<double> filter(
-      model, make_inverse_strategy<double>("sskf", params), opts);
+      model,
+      make_inverse_strategy<double>(StrategySpec::parse("sskf"), preloaded),
+      opts);
 
   Vector<double> rail(4);
   for (std::size_t i = 0; i < rail.size(); ++i) rail[i] = 1e12;
@@ -281,10 +285,10 @@ TEST(KalmanHealthTest, LadderDeescalatesAfterConsecutiveHealthySteps) {
   opts.health.max_state_abs = 1e3;
   opts.health.deescalate_after = 4;
 
-  StrategyParams<double> params;
-  params.interleave = {3, 2, SeedPolicy::kPreviousIteration};
+  const StrategySpec spec = StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   KalmanFilter<double> filter(
-      model, make_inverse_strategy<double>("interleaved", params), opts);
+      model, make_inverse_strategy<double>(spec), opts);
 
   Vector<double> rail(4);
   for (std::size_t i = 0; i < rail.size(); ++i) rail[i] = 1e12;
@@ -311,10 +315,10 @@ TEST(KalmanHealthTest, NanSpikeSkipsMeasurementAndReconverges) {
 
   FilterOptions opts;
   opts.health.enabled = true;
-  StrategyParams<double> params;
-  params.interleave = {3, 2, SeedPolicy::kPreviousIteration};
+  const StrategySpec spec = StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   KalmanFilter<double> filter(
-      model, make_inverse_strategy<double>("interleaved", params), opts);
+      model, make_inverse_strategy<double>(spec), opts);
 
   const std::uint64_t skips_before = recovery_counter("skip_measurement");
   for (std::size_t n = 0; n < faulty.size(); ++n) {
@@ -393,10 +397,10 @@ TEST(KalmanHealthTest, InnovationGateContainsDropoutAndSaturation) {
   FilterOptions opts;
   opts.health.enabled = true;
   opts.health.innovation_gate_sigma = 8.0;
-  StrategyParams<double> params;
-  params.interleave = {3, 2, SeedPolicy::kPreviousIteration};
+  const StrategySpec spec = StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   KalmanFilter<double> filter(
-      model, make_inverse_strategy<double>("interleaved", params), opts);
+      model, make_inverse_strategy<double>(spec), opts);
 
   const std::uint64_t gates_before = recovery_counter("gate_channels");
   for (std::size_t n = 0; n < faulty.size(); ++n) {

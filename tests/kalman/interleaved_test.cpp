@@ -9,6 +9,7 @@
 #include "../test_util.hpp"
 #include "kalman/filter.hpp"
 #include "kalman/reference.hpp"
+#include "kalman/strategy_spec.hpp"
 #include "kalman_test_util.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/random.hpp"
@@ -159,12 +160,21 @@ TEST(InterleavedStrategyTest, ResetForcesRecalculation) {
 }
 
 TEST(InterleavedStrategyTest, NameEncodesConfiguration) {
-  InterleavedStrategy<double> strat(CalcMethod::kCholesky,
-                                    {3, 4, SeedPolicy::kPreviousIteration});
-  const auto name = strat.name();
+  // The strategy's name is its StrategySpec text form.
+  StrategySpec spec;
+  spec.kind = StrategyKind::kInterleaved;
+  spec.calc_method = CalcMethod::kCholesky;
+  spec.calc_freq = 3;
+  spec.approx = 4;
+  spec.policy = SeedPolicy::kPreviousIteration;
+  const auto name = spec.format();
   EXPECT_NE(name.find("cholesky"), std::string::npos);
   EXPECT_NE(name.find("calc_freq=3"), std::string::npos);
   EXPECT_NE(name.find("approx=4"), std::string::npos);
+  InterleavedStrategy<double> strat(spec.calc_method, spec.interleave());
+  EXPECT_EQ(strat.calc_method(), CalcMethod::kCholesky);
+  EXPECT_EQ(strat.config().calc_freq, 3u);
+  EXPECT_EQ(strat.config().approx, 4u);
 }
 
 TEST(LiteStrategyTest, SingleNewtonStepFromPreloadedSeed) {

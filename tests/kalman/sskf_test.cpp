@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "../test_util.hpp"
 #include "kalman/calculation_strategies.hpp"
 #include "kalman/filter.hpp"
+#include "kalman/gain_schedule.hpp"
 #include "kalman_test_util.hpp"
+#include "neural/dataset.hpp"
 
 namespace kalmmind::kalman {
 namespace {
@@ -57,6 +60,30 @@ TEST(SteadyStateTest, MatchesLongFilterRun) {
   linalg::multiply_into(p_post, linalg::identity_minus(kh), ss.p_pred);
   expect_matrix_near(filter.covariance(), p_post, 1e-9,
                      "filter P converges to the Riccati solution");
+}
+
+TEST(SteadyStateTest, GainEqualsTheLuScheduleEntryBitForBit) {
+  // The Riccati solver and the gain schedule run one covariance recursion:
+  // with the same model and an LU inverse, the converged gain is exactly
+  // the schedule's K at the converging iteration.
+  neural::DatasetSpec spec;
+  spec.encoding.channels = 40;
+  spec.train_steps = 400;
+  spec.seed = 99;
+  FilterConfig<double> cfg;
+  cfg.model = neural::build_dataset(spec).model;
+  cfg.strategy.kind = StrategyKind::kLu;
+  ASSERT_EQ(cfg.model.x_dim(), 6u);
+
+  const SteadyState<double> ss = solve_steady_state(cfg.model);
+  GainSchedule schedule(cfg);
+  const auto entry = schedule.at(ss.iterations - 1);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->k.same_shape(ss.k));
+  EXPECT_EQ(std::memcmp(entry->k.data(), ss.k.data(),
+                        ss.k.size() * sizeof(double)),
+            0)
+      << "after " << ss.iterations << " iterations";
 }
 
 TEST(SteadyStateTest, ThrowsWithoutConvergenceBudget) {

@@ -5,6 +5,7 @@
 #include "../test_util.hpp"
 #include "kalman/approximation_strategies.hpp"
 #include "kalman/calculation_strategies.hpp"
+#include "kalman/strategy_spec.hpp"
 #include "linalg/random.hpp"
 
 namespace kalmmind::kalman {
@@ -28,11 +29,18 @@ TEST(CalculationStrategyTest, AllMethodsInvertSpd) {
 }
 
 TEST(CalculationStrategyTest, NamesAreStable) {
-  EXPECT_EQ(CalculationStrategy<double>(CalcMethod::kGauss).name(), "gauss");
-  EXPECT_EQ(CalculationStrategy<double>(CalcMethod::kCholesky).name(),
-            "cholesky");
-  EXPECT_EQ(CalculationStrategy<double>(CalcMethod::kQr).name(), "qr");
-  EXPECT_EQ(CalculationStrategy<double>(CalcMethod::kLu).name(), "lu");
+  // A calculation unit's name is its method token, which is also the text
+  // form of the matching StrategySpec kind.
+  EXPECT_STREQ(to_string(CalcMethod::kGauss), "gauss");
+  EXPECT_STREQ(to_string(CalcMethod::kCholesky), "cholesky");
+  EXPECT_STREQ(to_string(CalcMethod::kQr), "qr");
+  EXPECT_STREQ(to_string(CalcMethod::kLu), "lu");
+  for (CalcMethod method : {CalcMethod::kGauss, CalcMethod::kLu,
+                            CalcMethod::kCholesky, CalcMethod::kQr}) {
+    StrategySpec spec;
+    spec.kind = kind_for(method);
+    EXPECT_EQ(spec.format(), to_string(method));
+  }
 }
 
 TEST(NewtonClassicStrategyTest, MoreIterationsImproveInverse) {

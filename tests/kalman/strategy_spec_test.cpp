@@ -123,6 +123,28 @@ TEST(StrategySpecTest, TryParseRejectsMalformedText) {
   EXPECT_FALSE(StrategySpec::try_parse("newton(m=0)", &out).ok());
 }
 
+TEST(StrategySpecTest, TryParseRejectsIntegerOverflow) {
+  // SIZE_MAX itself is a valid size_t; anything larger is rejected, not
+  // wrapped (2^64 + 4 would wrap to 4).
+  static_assert(sizeof(std::size_t) == 8, "test assumes a 64-bit size_t");
+  StrategySpec out;
+  ASSERT_TRUE(StrategySpec::try_parse(
+                  "interleaved(calc=gauss,calc_freq=18446744073709551615,"
+                  "approx=1,policy=0)",
+                  &out)
+                  .ok());
+  EXPECT_EQ(out.calc_freq, std::size_t(18446744073709551615ull));
+  const Status wrapped = StrategySpec::try_parse(
+      "interleaved(calc=gauss,calc_freq=18446744073709551620,approx=1,"
+      "policy=0)",
+      &out);
+  EXPECT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.code(), StatusCode::kInvalid);
+  EXPECT_FALSE(StrategySpec::try_parse("newton(m=99999999999999999999999)",
+                                       &out)
+                   .ok());
+}
+
 TEST(StrategySpecTest, ParseThrowsWithVocabularyInMessage) {
   try {
     StrategySpec::parse("definitely-not-a-strategy");

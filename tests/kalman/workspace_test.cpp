@@ -87,47 +87,31 @@ std::uint64_t heap_allocations() {
 
 // Strategies whose steady-state iterations must be allocation-free: every
 // approximation-path configuration plus the preloaded constant inverse.
-std::vector<std::pair<std::string, StrategyParams<double>>>
+std::vector<std::pair<StrategySpec, StrategyMatrices<double>>>
 steady_state_strategies(const KalmanModel<double>& model) {
-  std::vector<std::pair<std::string, StrategyParams<double>>> out;
-
-  StrategyParams<double> newton;
-  newton.newton_iterations = 3;
-  out.emplace_back("newton", newton);
-
-  StrategyParams<double> taylor;
-  taylor.taylor_order = 3;
-  out.emplace_back("taylor", taylor);
-
-  StrategyParams<double> ifkf;
-  ifkf.r = model.r;
-  ifkf.ifkf_iterations = 6;
-  out.emplace_back("ifkf", ifkf);
-
-  StrategyParams<double> interleaved;
-  interleaved.interleave.calc_freq = 0;  // calculate only at iteration 0
-  interleaved.interleave.approx = 2;
-  out.emplace_back("interleaved", interleaved);
-
-  SteadyState<double> ss = solve_steady_state(model);
-  StrategyParams<double> lite;
-  lite.preloaded_inverse = ss.s_inv;
-  out.emplace_back("lite", lite);
-
-  StrategyParams<double> sskf;
-  sskf.preloaded_inverse = ss.s_inv;
-  sskf.interleave.approx = 1;
-  out.emplace_back("sskf", sskf);
-
-  return out;
+  const SteadyState<double> ss = solve_steady_state(model);
+  const StrategyMatrices<double> none;
+  const StrategyMatrices<double> ifkf{model.r, {}};
+  const StrategyMatrices<double> preloaded{{}, ss.s_inv};
+  return {
+      {StrategySpec::parse("newton(m=3)"), none},
+      {StrategySpec::parse("taylor(order=3)"), none},
+      {StrategySpec::parse("ifkf(iters=6)"), ifkf},
+      // calculate only at iteration 0
+      {StrategySpec::parse("interleaved(calc=gauss,calc_freq=0,approx=2,"
+                           "policy=0)"),
+       none},
+      {StrategySpec::parse("lite"), preloaded},
+      {StrategySpec::parse("sskf(approx=1)"), preloaded},
+  };
 }
 
 TEST(WorkspaceTest, StepIsAllocationFreeAfterWarmup) {
   const auto model = small_model(/*z_dim=*/6);
   const auto zs = simulate_measurements(model, 8);
-  for (const auto& [name, params] : steady_state_strategies(model)) {
+  for (const auto& [spec, matrices] : steady_state_strategies(model)) {
     KalmanFilter<double> filter(model,
-                                make_inverse_strategy<double>(name, params));
+                                make_inverse_strategy<double>(spec, matrices));
     // Warm up: first steps size the workspace and strategy scratch (and
     // run any calculation-path iteration the schedule front-loads).
     filter.step(zs[0]);
@@ -135,7 +119,7 @@ TEST(WorkspaceTest, StepIsAllocationFreeAfterWarmup) {
     const std::uint64_t before = heap_allocations();
     for (std::size_t n = 2; n < zs.size(); ++n) filter.step(zs[n]);
     EXPECT_EQ(heap_allocations() - before, 0u)
-        << "strategy '" << name << "' allocated in steady state";
+        << "strategy '" << spec.format() << "' allocated in steady state";
   }
 }
 
@@ -144,10 +128,9 @@ TEST(WorkspaceTest, JosephUpdateStepIsAllocationFreeAfterWarmup) {
   const auto zs = simulate_measurements(model, 6);
   FilterOptions options;
   options.joseph_update = true;
-  StrategyParams<double> params;
-  params.newton_iterations = 2;
   KalmanFilter<double> filter(
-      model, make_inverse_strategy<double>("newton", params), options);
+      model, make_inverse_strategy<double>(StrategySpec::parse("newton(m=2)")),
+      options);
   filter.step(zs[0]);
   filter.step(zs[1]);
   const std::uint64_t before = heap_allocations();
@@ -169,11 +152,9 @@ TEST(WorkspaceTest, ConstantGainStepIsAllocationFreeAfterWarmup) {
 TEST(WorkspaceTest, DebugHookSeesNoBufferGrowthInSteadyState) {
   const auto model = small_model(/*z_dim=*/6);
   const auto zs = simulate_measurements(model, 6);
-  StrategyParams<double> params;
-  params.interleave.calc_freq = 0;
-  params.interleave.approx = 2;
   KalmanFilter<double> filter(
-      model, make_inverse_strategy<double>("interleaved", params));
+      model, make_inverse_strategy<double>(StrategySpec::parse(
+                 "interleaved(calc=gauss,calc_freq=0,approx=2,policy=0)")));
   filter.step(zs[0]);
   filter.step(zs[1]);
   const std::uint64_t before = linalg::thread_buffer_allocations();
@@ -184,7 +165,8 @@ TEST(WorkspaceTest, DebugHookSeesNoBufferGrowthInSteadyState) {
 TEST(WorkspaceTest, WorkspaceBytesPositiveAndStableAcrossSteps) {
   const auto model = small_model(/*z_dim=*/6);
   const auto zs = simulate_measurements(model, 4);
-  KalmanFilter<double> filter(model, make_inverse_strategy<double>("gauss"));
+  KalmanFilter<double> filter(
+      model, make_inverse_strategy<double>(StrategySpec::parse("gauss")));
   const std::size_t at_construction = filter.workspace_bytes();
   EXPECT_GT(at_construction, 0u);
   for (const auto& z : zs) filter.step(z);
@@ -200,7 +182,8 @@ TEST(WorkspaceTest, StepMatchesNaiveReplicaWithinDocumentedTolerance) {
   const auto model = small_model(/*z_dim=*/6);
   const auto zs = simulate_measurements(model, 50);
 
-  KalmanFilter<double> filter(model, make_inverse_strategy<double>("gauss"));
+  KalmanFilter<double> filter(
+      model, make_inverse_strategy<double>(StrategySpec::parse("gauss")));
 
   Vector<double> x = model.x0;
   Matrix<double> p = model.p0;
@@ -245,10 +228,8 @@ TEST(WorkspaceTest, StepAllocationsCounterStaysFlatInSteadyState) {
   if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
   const auto model = small_model(/*z_dim=*/6);
   const auto zs = simulate_measurements(model, 6);
-  StrategyParams<double> params;
-  params.newton_iterations = 2;
-  KalmanFilter<double> filter(model,
-                              make_inverse_strategy<double>("newton", params));
+  KalmanFilter<double> filter(
+      model, make_inverse_strategy<double>(StrategySpec::parse("newton(m=2)")));
   const bool was_enabled = telemetry::enabled();
   telemetry::set_enabled(true);
   auto& counter = telemetry::MetricsRegistry::global().counter(

@@ -211,36 +211,20 @@ TEST(ServeBatchTest, OptOutsStaySolo) {
   const auto model = testing::small_model(4);
   const auto zs = testing::simulate_measurements(model, 15);
 
-  {
-    // Server-wide opt-out.
-    ServerOptions options;
-    options.workers = 2;
-    options.batching = false;
-    DecodeServer server(options);
-    const SessionId id = server.open_session(batched_config(model));
-    for (const auto& z : zs) server.submit(id, z);
-    server.drain();
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.batched_sessions, 0u);
-    EXPECT_EQ(stats.total_batched_steps, 0u);
-    EXPECT_EQ(stats.gain_cache_misses, 0u);  // cache never consulted
-    expect_bit_identical(server.trajectory(id),
-                         sequential_trajectory(batched_config(model), zs));
-  }
-  {
-    // Per-session opt-out.
-    SessionConfig cfg = batched_config(model);
-    cfg.allow_batching = false;
-    DecodeServer server({/*workers=*/2});
-    const SessionId id = server.open_session(cfg);
-    for (const auto& z : zs) server.submit(id, z);
-    server.drain();
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.batched_sessions, 0u);
-    EXPECT_FALSE(snapshot_for(stats, id).batched);
-    expect_bit_identical(server.trajectory(id),
-                         sequential_trajectory(cfg, zs));
-  }
+  // Server-wide opt-out (ServerOptions::batching is the only switch).
+  ServerOptions options;
+  options.workers = 2;
+  options.batching = false;
+  DecodeServer server(options);
+  const SessionId id = server.open_session(batched_config(model));
+  for (const auto& z : zs) server.submit(id, z);
+  server.drain();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batched_sessions, 0u);
+  EXPECT_EQ(stats.total_batched_steps, 0u);
+  EXPECT_EQ(stats.gain_cache_misses, 0u);  // cache never consulted
+  expect_bit_identical(server.trajectory(id),
+                       sequential_trajectory(batched_config(model), zs));
 }
 
 TEST(ServeBatchTest, WindowMissEjectsToSoloAndStaysCorrect) {
@@ -363,8 +347,9 @@ TEST(ServeBatchTest, ErasingAScheduledGroupStillDrains) {
   // A wide solo session queued first keeps the single pool worker busy for
   // a long quantum while the group's job waits behind it.
   const auto wide = testing::small_model(96);
+  // Health-gated: a health-enabled filter never batches.
   SessionConfig solo_cfg = batched_config(wide);
-  solo_cfg.allow_batching = false;
+  solo_cfg.filter.options.health.enabled = true;
   const auto wide_zs = testing::simulate_measurements(wide, 64);
 
   for (const unsigned workers : {ServerOptions::kManual, 1u}) {

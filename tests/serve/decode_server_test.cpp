@@ -235,6 +235,25 @@ TEST(ServeDecodeServerTest, AdmissionRejectsBadConfigsWithoutThrowing) {
   EXPECT_TRUE(status.ok());
 }
 
+TEST(ServeDecodeServerTest, AdmissionRejectsMisshapenIfkfNoise) {
+  // An ifkf R that is not z_dim x z_dim would only throw inside a worker
+  // on the first decode; admission must refuse it with a Status instead.
+  const auto model = testing::small_model(3);
+  DecodeServer server({/*workers=*/1, 8});
+  SessionConfig cfg;
+  cfg.filter.model = model;
+  cfg.filter.strategy.kind = kalman::StrategyKind::kIfkf;
+  cfg.filter.strategy_data.r = linalg::Matrix<double>::identity(5);
+  Status status;
+  EXPECT_EQ(server.open_session(cfg, &status), DecodeServer::kInvalidSession);
+  EXPECT_FALSE(status.ok());
+
+  // The true R of the model is accepted.
+  cfg.filter.strategy_data.r = model.r;
+  EXPECT_NE(server.open_session(cfg, &status), DecodeServer::kInvalidSession);
+  EXPECT_TRUE(status.ok()) << status.message();
+}
+
 TEST(ServeDecodeServerTest, UnknownAndClosedSessionsRejectSubmits) {
   const auto model = testing::small_model(4);
   DecodeServer server({/*workers=*/1, 8});

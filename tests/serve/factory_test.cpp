@@ -1,5 +1,6 @@
-// The string-keyed strategy factory: every advertised name constructs a
-// working strategy, unknown names fail cleanly.
+// The strategy factory, keyed by StrategySpec: every kind constructs a
+// working strategy, each spec selects the strategy it names, unknown names
+// fail cleanly.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -12,7 +13,9 @@
 namespace kalmmind {
 namespace {
 
-using kalman::StrategyParams;
+using kalman::InversePath;
+using kalman::StrategyKind;
+using kalman::StrategySpec;
 using linalg::Matrix;
 
 Matrix<double> spd(std::size_t n, std::uint64_t seed = 11) {
@@ -20,24 +23,36 @@ Matrix<double> spd(std::size_t n, std::uint64_t seed = 11) {
   return linalg::random_spd<double>(n, rng, /*ridge=*/2.0);
 }
 
-StrategyParams<double> params_for(const std::string& name,
-                                  const Matrix<double>& s) {
-  StrategyParams<double> p;
-  if (name == "lite" || name == "sskf") {
-    p.preloaded_inverse = linalg::invert_gauss(s);
+std::vector<StrategyKind> every_kind() {
+  std::vector<StrategyKind> kinds;
+  for (std::size_t k = 0; k < kalman::kStrategyKindCount; ++k) {
+    kinds.push_back(StrategyKind(k));
   }
-  if (name == "sskf") p.interleave.approx = 2;
-  if (name == "newton") p.newton_iterations = 40;  // converge from cold seed
-  return p;
+  return kinds;
+}
+
+// The matrices a kind needs to construct (lite/sskf: a preloaded inverse).
+kalman::StrategyMatrices<double> matrices_for(StrategyKind kind,
+                                              const Matrix<double>& s) {
+  kalman::StrategyMatrices<double> matrices;
+  if (kind == StrategyKind::kLite || kind == StrategyKind::kSskf) {
+    matrices.preloaded_inverse = linalg::invert_gauss(s);
+  }
+  return matrices;
 }
 
 TEST(ServeFactoryTest, EveryAdvertisedNameConstructsAndInverts) {
   const Matrix<double> s = spd(4);
   const Matrix<double> identity = Matrix<double>::identity(4);
-  for (const auto& name : kalman::inverse_strategy_names()) {
-    SCOPED_TRACE(name);
+  for (StrategyKind kind : every_kind()) {
+    SCOPED_TRACE(kalman::to_string(kind));
+    StrategySpec spec = StrategySpec::parse(kalman::to_string(kind));
+    if (kind == StrategyKind::kSskf) spec.approx = 2;
+    if (kind == StrategyKind::kNewton) {
+      spec.newton_iterations = 40;  // converge from cold seed
+    }
     auto strategy =
-        kalman::make_inverse_strategy<double>(name, params_for(name, s));
+        kalman::make_inverse_strategy<double>(spec, matrices_for(kind, s));
     ASSERT_NE(strategy, nullptr);
     const Matrix<double> inv = strategy->invert(s, 0);
     Matrix<double> product;
@@ -47,57 +62,68 @@ TEST(ServeFactoryTest, EveryAdvertisedNameConstructsAndInverts) {
     // (newton/ifkf) a convergent approximation — all should be close on a
     // well-conditioned 4x4.
     EXPECT_LT(linalg::frobenius_norm(product), 0.7);
-    EXPECT_FALSE(strategy->name().empty());
   }
 }
 
 TEST(ServeFactoryTest, NamesRoundTripThroughIsKnown) {
-  for (const auto& name : kalman::inverse_strategy_names()) {
-    EXPECT_TRUE(kalman::is_inverse_strategy_name(name)) << name;
+  StrategySpec out;
+  for (StrategyKind kind : every_kind()) {
+    ASSERT_TRUE(StrategySpec::try_parse(kalman::to_string(kind), &out).ok())
+        << kalman::to_string(kind);
+    EXPECT_EQ(out.kind, kind);
   }
-  EXPECT_FALSE(kalman::is_inverse_strategy_name("gauss-jordan"));
-  EXPECT_FALSE(kalman::is_inverse_strategy_name(""));
-  EXPECT_FALSE(kalman::is_inverse_strategy_name("GAUSS"));
+  EXPECT_FALSE(StrategySpec::try_parse("gauss-jordan", &out).ok());
+  EXPECT_FALSE(StrategySpec::try_parse("", &out).ok());
+  EXPECT_FALSE(StrategySpec::try_parse("GAUSS", &out).ok());
 }
 
 TEST(ServeFactoryTest, FactoryNameSelectsTheExpectedStrategy) {
   const Matrix<double> s = spd(3);
-  auto gauss = kalman::make_inverse_strategy<double>("gauss");
-  EXPECT_EQ(gauss->name(), "gauss");
-  auto cholesky = kalman::make_inverse_strategy<double>("cholesky");
-  EXPECT_EQ(cholesky->name(), "cholesky");
-  auto qr = kalman::make_inverse_strategy<double>("qr");
-  EXPECT_EQ(qr->name(), "qr");
-  auto lu = kalman::make_inverse_strategy<double>("lu");
-  EXPECT_EQ(lu->name(), "lu");
+  auto build = [&s](const char* text) {
+    const StrategySpec spec = StrategySpec::parse(text);
+    return kalman::make_inverse_strategy<double>(spec,
+                                                 matrices_for(spec.kind, s));
+  };
+  // Calculation kinds run exactly the direct method they name.
+  const auto expect_calculates = [&s](kalman::InverseStrategy<double>& strategy,
+                                      const Matrix<double>& expected) {
+    const Matrix<double> inv = strategy.invert(s, 0);
+    EXPECT_EQ(strategy.last_event().path, InversePath::kCalculation);
+    ASSERT_TRUE(inv.same_shape(expected));
+    for (std::size_t i = 0; i < inv.size(); ++i) {
+      EXPECT_EQ(inv.data()[i], expected.data()[i]);
+    }
+  };
+  expect_calculates(*build("gauss"), linalg::invert_gauss(s));
+  expect_calculates(*build("cholesky"), linalg::invert_cholesky(s));
+  expect_calculates(*build("qr"), linalg::invert_qr(s));
+  expect_calculates(*build("lu"), linalg::invert_lu(s));
 
-  StrategyParams<double> p;
-  p.newton_iterations = 7;
-  auto newton = kalman::make_inverse_strategy<double>("newton", p);
-  EXPECT_EQ(newton->name(), "newton-classic(m=7)");
+  // Approximation kinds report their own iteration counts.
+  const auto approx_iterations = [&s](kalman::InverseStrategy<double>& strategy,
+                                      std::size_t n) {
+    strategy.invert(s, n);
+    EXPECT_EQ(strategy.last_event().path, InversePath::kApproximation);
+    return strategy.last_event().newton_iterations;
+  };
+  EXPECT_EQ(approx_iterations(*build("newton(m=7)"), 0), 7u);
+  EXPECT_EQ(approx_iterations(*build("ifkf"), 0), 12u);
+  EXPECT_EQ(approx_iterations(*build("sskf(approx=2)"), 0), 2u);
+  EXPECT_EQ(approx_iterations(*build("lite"), 0), 1u);
 
-  p.taylor_order = 3;
-  auto taylor = kalman::make_inverse_strategy<double>("taylor", p);
-  EXPECT_EQ(taylor->name(), "taylor(order=3)");
+  auto taylor = build("taylor(order=3)");
+  taylor->invert(s, 0);  // anchors S_0^-1 on the calculation path
+  EXPECT_EQ(approx_iterations(*taylor, 1), 3u);
 
-  auto ifkf = kalman::make_inverse_strategy<double>("ifkf");
-  EXPECT_EQ(ifkf->name(), "ifkf");
-
-  p.calc_method = kalman::CalcMethod::kCholesky;
-  p.interleave = {4, 2, kalman::SeedPolicy::kLastCalculated};
-  auto interleaved = kalman::make_inverse_strategy<double>("interleaved", p);
-  EXPECT_NE(interleaved->name().find("cholesky/newton"), std::string::npos);
-
-  StrategyParams<double> preloaded = params_for("sskf", s);
-  auto sskf = kalman::make_inverse_strategy<double>("sskf", preloaded);
-  EXPECT_EQ(sskf->name(), "sskf-inverse(approx=2)");
-  auto lite = kalman::make_inverse_strategy<double>("lite", preloaded);
-  EXPECT_EQ(lite->name(), "lite");
+  auto interleaved =
+      build("interleaved(calc=cholesky,calc_freq=4,approx=2,policy=0)");
+  expect_calculates(*interleaved, linalg::invert_cholesky(s));
+  EXPECT_EQ(approx_iterations(*interleaved, 1), 2u);
 }
 
 TEST(ServeFactoryTest, UnknownNameIsACleanError) {
   try {
-    kalman::make_inverse_strategy<double>("definitely-not-a-strategy");
+    StrategySpec::parse("definitely-not-a-strategy");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -111,16 +137,13 @@ TEST(ServeFactoryTest, UnknownNameIsACleanError) {
 TEST(ServeFactoryTest, TypedSpecBuildsEveryKind) {
   const Matrix<double> s = spd(4);
   const Matrix<double> identity = Matrix<double>::identity(4);
-  for (const auto& name : kalman::inverse_strategy_names()) {
-    SCOPED_TRACE(name);
-    kalman::StrategySpec spec = kalman::StrategySpec::parse(name);
-    if (name == "newton") spec.newton_iterations = 40;
-    kalman::StrategyMatrices<double> matrices;
-    if (spec.kind == kalman::StrategyKind::kLite ||
-        spec.kind == kalman::StrategyKind::kSskf) {
-      matrices.preloaded_inverse = linalg::invert_gauss(s);
-    }
-    auto strategy = kalman::make_inverse_strategy<double>(spec, matrices);
+  for (StrategyKind kind : every_kind()) {
+    SCOPED_TRACE(kalman::to_string(kind));
+    StrategySpec spec;
+    spec.kind = kind;
+    if (kind == StrategyKind::kNewton) spec.newton_iterations = 40;
+    auto strategy =
+        kalman::make_inverse_strategy<double>(spec, matrices_for(kind, s));
     ASSERT_NE(strategy, nullptr);
     const Matrix<double> inv = strategy->invert(s, 0);
     Matrix<double> product;
@@ -130,71 +153,51 @@ TEST(ServeFactoryTest, TypedSpecBuildsEveryKind) {
   }
 }
 
-TEST(ServeFactoryTest, StringOverloadMatchesTypedSpec) {
-  // The historical string overload is a thin wrapper over the typed API:
-  // for every vocabulary name both paths must construct the same strategy
-  // (observable through name(), which encodes the strategy's parameters).
-  const Matrix<double> s = spd(4);
-  for (const auto& name : kalman::inverse_strategy_names()) {
-    SCOPED_TRACE(name);
-    auto via_string =
-        kalman::make_inverse_strategy<double>(name, params_for(name, s));
+TEST(ServeFactoryTest, FormatStringCarriesItsOwnParameters) {
+  // A full format() string carries every parameter the factory needs.
+  const Matrix<double> s = spd(3);
+  auto newton = kalman::make_inverse_strategy<double>(
+      StrategySpec::parse("newton(m=7)"));
+  newton->invert(s, 0);
+  EXPECT_EQ(newton->last_event().newton_iterations, 7u);
 
-    kalman::StrategySpec spec = kalman::StrategySpec::parse(name);
-    const StrategyParams<double> params = params_for(name, s);
-    spec.calc_method = params.calc_method;
-    spec.calc_freq = params.interleave.calc_freq;
-    spec.approx = params.interleave.approx;
-    spec.policy = params.interleave.policy;
-    spec.newton_iterations = params.newton_iterations;
-    spec.taylor_order = params.taylor_order;
-    spec.ifkf_iterations = params.ifkf_iterations;
-    kalman::StrategyMatrices<double> matrices;
-    matrices.r = params.r;
-    matrices.preloaded_inverse = params.preloaded_inverse;
-    auto via_spec = kalman::make_inverse_strategy<double>(spec, matrices);
-
-    EXPECT_EQ(via_string->name(), via_spec->name());
+  auto interleaved = kalman::make_inverse_strategy<double>(StrategySpec::parse(
+      "interleaved(calc=cholesky,calc_freq=4,approx=2,policy=0)"));
+  for (std::size_t n = 0; n < 5; ++n) {
+    interleaved->invert(s, n);
+    EXPECT_EQ(interleaved->last_event().path,
+              n % 4 == 0 ? InversePath::kCalculation
+                         : InversePath::kApproximation)
+        << "iteration " << n;
   }
 }
 
-TEST(ServeFactoryTest, FormatStringCarriesItsOwnParameters) {
-  // A full format() string round-trips through the string overload with
-  // the embedded argument list winning over the legacy params struct.
-  StrategyParams<double> ignored;
-  ignored.newton_iterations = 99;
-  auto newton =
-      kalman::make_inverse_strategy<double>("newton(m=7)", ignored);
-  EXPECT_EQ(newton->name(), "newton-classic(m=7)");
-
-  auto interleaved = kalman::make_inverse_strategy<double>(
-      "interleaved(calc=cholesky,calc_freq=4,approx=2,policy=0)");
-  EXPECT_NE(interleaved->name().find("cholesky/newton"), std::string::npos);
-}
-
 TEST(ServeFactoryTest, TypedSpecRejectsMissingPreload) {
-  kalman::StrategySpec lite;
-  lite.kind = kalman::StrategyKind::kLite;
+  StrategySpec lite;
+  lite.kind = StrategyKind::kLite;
   EXPECT_THROW(kalman::make_inverse_strategy<double>(lite),
                std::invalid_argument);
-  kalman::StrategySpec sskf;
-  sskf.kind = kalman::StrategyKind::kSskf;
+  StrategySpec sskf;
+  sskf.kind = StrategyKind::kSskf;
   EXPECT_THROW(kalman::make_inverse_strategy<double>(sskf),
                std::invalid_argument);
 }
 
 TEST(ServeFactoryTest, PreloadRequiringNamesRejectEmptyMatrix) {
-  EXPECT_THROW(kalman::make_inverse_strategy<double>("lite"),
-               std::invalid_argument);
-  EXPECT_THROW(kalman::make_inverse_strategy<double>("sskf"),
-               std::invalid_argument);
+  EXPECT_THROW(
+      kalman::make_inverse_strategy<double>(StrategySpec::parse("lite")),
+      std::invalid_argument);
+  EXPECT_THROW(
+      kalman::make_inverse_strategy<double>(StrategySpec::parse("sskf")),
+      std::invalid_argument);
 }
 
 TEST(ServeFactoryTest, WorksForFloatToo) {
   linalg::Rng rng(5);
   const Matrix<float> s =
       linalg::random_spd<double>(3, rng, 2.0).cast<float>();
-  auto strategy = kalman::make_inverse_strategy<float>("gauss");
+  auto strategy =
+      kalman::make_inverse_strategy<float>(StrategySpec::parse("gauss"));
   const Matrix<float> inv = strategy->invert(s, 0);
   Matrix<float> product;
   linalg::multiply_into(product, s, inv);

@@ -113,34 +113,44 @@ TEST(ServeGainCacheTest, EvictedScheduleStaysValidForHolders) {
 }
 
 TEST(ServeGainCacheTest, EntriesMatchSoloFilterBitForBit) {
-  const FilterConfigD cfg = interleaved_config(5, 77);
-  GainSchedule schedule(cfg);
+  // Both forms of the covariance update (plain and Joseph) and both
+  // calculation units the perfbench workloads use (gauss, cholesky).
+  const FilterConfigD plain = interleaved_config(5, 77);
+  FilterConfigD joseph = plain;
+  joseph.options.joseph_update = true;
+  FilterConfigD cholesky = plain;
+  cholesky.strategy.calc_method = kalman::CalcMethod::kCholesky;
+  for (const FilterConfigD& cfg : {plain, joseph, cholesky}) {
+    SCOPED_TRACE(cfg.strategy.format() +
+                 (cfg.options.joseph_update ? " joseph" : " plain"));
+    GainSchedule schedule(cfg);
 
-  // The schedule replays the filter's exact kernel sequence: its P_n must
-  // equal the solo filter's posterior covariance bit for bit, and stepping
-  // the state through the schedule's K_n must land on the solo state.
-  kalman::KalmanFilter<double> solo = cfg.make_filter();
-  const auto zs = testing::simulate_measurements(cfg.model, 30);
-  linalg::Vector<double> x = cfg.model.x0;
-  linalg::Vector<double> xp, hx, corr;
-  for (std::size_t n = 0; n < zs.size(); ++n) {
-    solo.step(zs[n]);
-    const auto entry = schedule.at(n);
-    ASSERT_NE(entry, nullptr);
-    for (std::size_t i = 0; i < entry->p_after.rows(); ++i) {
-      for (std::size_t j = 0; j < entry->p_after.cols(); ++j) {
-        ASSERT_EQ(entry->p_after(i, j), solo.covariance()(i, j))
-            << "P step " << n;
+    // The schedule shares the filter's recursion: its P_n must equal the
+    // solo filter's posterior covariance bit for bit, and stepping the state
+    // through the schedule's K_n must land on the solo state.
+    kalman::KalmanFilter<double> solo = cfg.make_filter();
+    const auto zs = testing::simulate_measurements(cfg.model, 30);
+    linalg::Vector<double> x = cfg.model.x0;
+    linalg::Vector<double> xp, hx, corr;
+    for (std::size_t n = 0; n < zs.size(); ++n) {
+      solo.step(zs[n]);
+      const auto entry = schedule.at(n);
+      ASSERT_NE(entry, nullptr);
+      for (std::size_t i = 0; i < entry->p_after.rows(); ++i) {
+        for (std::size_t j = 0; j < entry->p_after.cols(); ++j) {
+          ASSERT_EQ(entry->p_after(i, j), solo.covariance()(i, j))
+              << "P step " << n;
+        }
       }
-    }
-    linalg::multiply_into(xp, cfg.model.f, x);
-    linalg::multiply_into(hx, cfg.model.h, xp);
-    linalg::Vector<double> nu = zs[n];
-    for (std::size_t i = 0; i < nu.size(); ++i) nu[i] -= hx[i];
-    linalg::multiply_into(corr, entry->k, nu);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = xp[i] + corr[i];
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_EQ(x[i], solo.state()[i]) << "x step " << n;
+      linalg::multiply_into(xp, cfg.model.f, x);
+      linalg::multiply_into(hx, cfg.model.h, xp);
+      linalg::Vector<double> nu = zs[n];
+      for (std::size_t i = 0; i < nu.size(); ++i) nu[i] -= hx[i];
+      linalg::multiply_into(corr, entry->k, nu);
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] = xp[i] + corr[i];
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_EQ(x[i], solo.state()[i]) << "x step " << n;
+      }
     }
   }
 }

@@ -267,11 +267,13 @@ TEST(ServeSnapshotTest, RestoreRejectsMismatchedSnapshots) {
             DecodeServer::kInvalidSession);
   EXPECT_FALSE(status.ok());
 
-  // Unbatchable config cannot replay bit-exact: refused, not silently
-  // degraded.
-  SessionConfig nobatch = cfg;
-  nobatch.allow_batching = false;
-  EXPECT_EQ(b.restore_session(nobatch, snap, &status),
+  // A server without batching cannot replay bit-exact: refused, not
+  // silently degraded.
+  ServerOptions nobatch_options;
+  nobatch_options.workers = ServerOptions::kManual;
+  nobatch_options.batching = false;
+  DecodeServer nobatch(nobatch_options);
+  EXPECT_EQ(nobatch.restore_session(cfg, snap, &status),
             DecodeServer::kInvalidSession);
   EXPECT_FALSE(status.ok());
 
@@ -287,7 +289,6 @@ TEST(ServeSnapshotTest, CheckpointRefusesNonReplayableStreams) {
   // Health-gated filters take measurement-dependent gain paths: their
   // trajectory is not a pure function of (config, iteration, x).
   cfg.filter.options.health.enabled = true;
-  cfg.allow_batching = false;
 
   DecodeServer server({/*workers=*/ServerOptions::kManual});
   Status status;

@@ -118,11 +118,10 @@ TEST(SocFaultInjectionTest, PlmBitFlipDetectedWithinOneStepAndRecovered) {
   FilterOptions opts;
   opts.health.enabled = true;
   opts.health.innovation_gate_sigma = 8.0;
-  kalman::StrategyParams<double> params;
-  params.interleave = {3, 2, kalman::SeedPolicy::kPreviousIteration};
+  const auto spec = kalman::StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
   kalman::KalmanFilter<double> filter(
-      model, kalman::make_inverse_strategy<double>("interleaved", params),
-      opts);
+      model, kalman::make_inverse_strategy<double>(spec), opts);
 
   for (std::size_t n = 0; n < clean.size(); ++n) {
     const std::size_t addr = kBase + n * clean[n].size();

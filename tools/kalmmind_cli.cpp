@@ -750,7 +750,8 @@ int run_telemetry_demo(int argc, char** argv) {
   {
     telemetry::Span span("demo.filter_run", "demo");
     kalman::KalmanFilter<double> filter(
-        dataset.model, kalman::make_inverse_strategy<double>("interleaved"));
+        dataset.model, kalman::make_inverse_strategy<double>(
+                           kalman::StrategySpec::parse("interleaved")));
     filter.run(dataset.test_measurements);
     auto& registry = telemetry::MetricsRegistry::global();
     std::printf(
