@@ -14,13 +14,24 @@
 //     independent work once per bin instead of once per session — the
 //     sessions/s ratio is written to BENCH_serve.json and floored by
 //     scripts/bench_perf.sh.
-//  3. Snapshot-replay migration (docs/robustness.md) at the paper's motor
-//     dims (x=6, z=164): a sharded cluster checkpoints every session
-//     through the SessionSnapshot wire codec, then drain-migrates one
-//     shard mid-stream.  The per-session checkpoint and migration
-//     (snapshot + restore + requeue) latencies go into BENCH_serve.json;
-//     bench_perf.sh floors migration at 5 ms/session, because failover
-//     that costs more than a 50 ms bin budget's tenth is an outage.
+//  3. Snapshot migration (docs/robustness.md) at the paper's motor dims
+//     (x=6, z=164): a sharded cluster checkpoints every session through
+//     the SessionSnapshot wire codec, then drain-migrates one shard
+//     mid-stream.  Three series: a warm one (one shared model, so the
+//     target shard's gain-schedule cache already holds the schedule), a
+//     cold one (a model per user, sessions 150 bins old, so the target has
+//     never seen the schedule and the snapshot's recursion state is all
+//     it has) and a skewed one (one shared model, sessions opened 8 bins
+//     apart, so a drained session can be older than every session on its
+//     target and land ahead of that shard's schedule).  The per-session
+//     checkpoint and migration (snapshot + restore + requeue) latencies go
+//     into BENCH_serve.json; bench_perf.sh floors every series at
+//     5 ms/session, because failover that costs more than a 50 ms bin
+//     budget's tenth is an outage.  After the drain the rest of every
+//     stream is decoded and timed — the first bin of every stream, then
+//     steady-state steps/s and the share of those steps decoded batched,
+//     which show whether the migrated sessions still share one gain
+//     schedule per shard with the sessions already there.
 //
 // All experiments end with a determinism check: every served trajectory
 // (solo, batched, or migrated) must be bit-identical to the same filter
@@ -114,39 +125,51 @@ RunResult run_once(const neural::NeuralDataset& dataset,
 struct MigrationResult {
   std::size_t sessions = 0;
   std::size_t migrated = 0;
+  std::size_t age_bins = 0;  // bins each session decoded before the move
   double snapshot_ms_per_session = 0.0;
   double migrate_ms_per_session = 0.0;
+  double first_bin_ms = 0.0;            // every stream's first bin after
+  double post_drain_steps_per_s = 0.0;  // the rest of every stream
+  double batched_step_share = 0.0;      // of that rest
   bool identical = true;
 };
 
-// Experiment 3: snapshot-replay migration at the paper's motor dims.
-MigrationResult run_migration_bench() {
-  neural::DatasetSpec spec = neural::motor_spec();
-  spec.test_steps = 100;
-  const neural::NeuralDataset dataset = neural::build_dataset(spec);
-  const serve::SessionConfig cfg = session_config(dataset);
-  const std::size_t half = dataset.test_measurements.size() / 2;
-
+// Experiment 3: snapshot migration at the paper's motor dims.  Session s
+// decodes datasets[s % datasets.size()] for age - s * stagger bins, is
+// checkpointed, drain-migrated, and then decodes the rest of its stream.
+MigrationResult run_migration_bench(
+    const std::vector<neural::NeuralDataset>& datasets, std::size_t sessions,
+    std::size_t age, std::size_t stagger = 0) {
   MigrationResult r;
-  r.sessions = 16;
+  r.sessions = sessions;
+  r.age_bins = age;
+  auto age_of = [&](std::size_t s) { return age - s * stagger; };
+  std::vector<serve::SessionConfig> configs;
+  for (const auto& dataset : datasets)
+    configs.push_back(session_config(dataset));
+  auto dataset_of = [&](std::size_t s) -> const neural::NeuralDataset& {
+    return datasets[s % datasets.size()];
+  };
 
   serve::ClusterOptions options;
   options.shards = 2;
   // Lossless bench: after the drain migration one shard hosts the whole
   // fleet, so the watermark must admit every outstanding bin at once.
-  options.high_watermark = r.sessions * cfg.queue_capacity + 1;
+  options.high_watermark = r.sessions * configs[0].queue_capacity + 1;
   options.low_watermark = options.high_watermark / 2;
   options.checkpoint_every_bins = 0;  // explicit checkpoints only
   serve::ShardedDecodeServer cluster(options);
   std::vector<serve::SessionId> ids;
   for (std::size_t s = 0; s < r.sessions; ++s) {
-    ids.push_back(cluster.open_session(cfg));
+    ids.push_back(cluster.open_session(configs[s % configs.size()]));
   }
 
-  // Decode the first half everywhere, then checkpoint the whole fleet
-  // through the SessionSnapshot codec.
-  for (std::size_t n = 0; n < half; ++n) {
-    for (const auto id : ids) (void)cluster.submit(id, dataset.test_measurements[n]);
+  // Decode each session's first age_of(s) bins, then checkpoint the whole
+  // fleet through the SessionSnapshot codec.
+  for (std::size_t n = 0; n < age; ++n) {
+    for (std::size_t s = 0; s < ids.size(); ++s)
+      if (n < age_of(s))
+        (void)cluster.submit(ids[s], dataset_of(s).test_measurements[n]);
   }
   cluster.drain();
 
@@ -174,28 +197,102 @@ MigrationResult run_migration_bench() {
   r.migrate_ms_per_session =
       r.migrated > 0 ? mig_s * 1e3 / double(r.migrated) : 1e9;
 
-  // Finish the stream and hold migration to the bit-identity bar.
-  for (std::size_t n = half; n < dataset.test_measurements.size(); ++n) {
-    for (const auto id : ids) (void)cluster.submit(id, dataset.test_measurements[n]);
-  }
-  cluster.drain();
+  // Finish the streams and hold migration to the bit-identity bar.  The
+  // first bin of every stream after the drain is timed on its own: a
+  // restore that landed ahead of its target's schedule has that shard
+  // compute the iterations in between there (or, restoring by replay,
+  // during the drain).  The rest is timed as steady-state steps/s, with
+  // the share of those steps decoded batched.
+  const std::size_t bins = datasets[0].test_measurements.size();
+  auto finish = [&](std::size_t from_offset, std::size_t to_offset) {
+    std::size_t steps = 0;
+    for (std::size_t n = 0; n < bins; ++n) {
+      for (std::size_t s = 0; s < ids.size(); ++s) {
+        if (n < age_of(s) + from_offset || n >= age_of(s) + to_offset)
+          continue;
+        (void)cluster.submit(ids[s], dataset_of(s).test_measurements[n]);
+        ++steps;
+      }
+    }
+    cluster.drain();
+    return steps;
+  };
+  auto batched_steps = [&] {
+    std::size_t total = 0;
+    for (const auto id : ids) total += cluster.session_stats(id).batched_steps;
+    return total;
+  };
+  const auto f0 = std::chrono::steady_clock::now();
+  (void)finish(0, 1);
+  const auto p0 = std::chrono::steady_clock::now();
+  r.first_bin_ms = std::chrono::duration<double>(p0 - f0).count() * 1e3;
+  const std::size_t batched_before = batched_steps();
+  const std::size_t post_steps = finish(1, bins);
+  const double post_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - p0)
+          .count();
+  r.post_drain_steps_per_s = post_s > 0.0 ? double(post_steps) / post_s : 0.0;
+  r.batched_step_share =
+      post_steps ? double(batched_steps() - batched_before) / double(post_steps)
+                 : 0.0;
 
-  kalman::KalmanFilter<double> sequential = cfg.filter.make_filter();
-  const auto seq = sequential.run(dataset.test_measurements);
-  for (const auto id : ids) {
-    const auto served = cluster.trajectory(id);
-    if (served.size() != seq.states.size()) {
+  std::vector<std::vector<linalg::Vector<double>>> sequential;
+  for (std::size_t d = 0; d < datasets.size(); ++d) {
+    kalman::KalmanFilter<double> filter = configs[d].filter.make_filter();
+    sequential.push_back(filter.run(datasets[d].test_measurements).states);
+  }
+  for (std::size_t s = 0; r.identical && s < ids.size(); ++s) {
+    const auto served = cluster.trajectory(ids[s]);
+    const auto& seq = sequential[s % sequential.size()];
+    if (served.size() != seq.size()) {
       r.identical = false;
       break;
     }
     for (std::size_t n = 0; r.identical && n < served.size(); ++n) {
       for (std::size_t d = 0; d < served[n].size(); ++d) {
-        if (served[n][d] != seq.states[n][d]) r.identical = false;
+        if (served[n][d] != seq[n][d]) r.identical = false;
       }
     }
-    if (!r.identical) break;
   }
   return r;
+}
+
+void print_migration(const char* label, const MigrationResult& mig) {
+  std::printf("%-5s checkpoint : %.3f ms/session (SessionSnapshot codec, "
+              "%zu sessions %zu bins old)\n",
+              label, mig.snapshot_ms_per_session, mig.sessions, mig.age_bins);
+  std::printf("%-5s migration  : %.3f ms/session (snapshot + restore + "
+              "requeue, %zu sessions drained)\n",
+              label, mig.migrate_ms_per_session, mig.migrated);
+  std::printf("%-5s after drain: first bin of every stream %.3f ms, then "
+              "%.0f steps/s, %.3f of them batched\n",
+              label, mig.first_bin_ms, mig.post_drain_steps_per_s,
+              mig.batched_step_share);
+  std::printf("%-5s trajectories %s after migration\n", label,
+              mig.identical ? "bit-identical to sequential execution"
+                            : "DIVERGED — migration bug");
+}
+
+void print_migration_json(FILE* f, const char* key,
+                          const MigrationResult& mig, bool last) {
+  std::fprintf(f,
+               "  \"%s\": {\n"
+               "    \"dataset\": \"motor\",\n"
+               "    \"sessions\": %zu,\n"
+               "    \"migrated\": %zu,\n"
+               "    \"age_bins\": %zu,\n"
+               "    \"snapshot_ms_per_session\": %.3f,\n"
+               "    \"migrate_ms_per_session\": %.3f,\n"
+               "    \"first_bin_ms\": %.3f,\n"
+               "    \"post_drain_steps_per_s\": %.1f,\n"
+               "    \"batched_step_share\": %.3f,\n"
+               "    \"identical\": %s\n"
+               "  }%s\n",
+               key, mig.sessions, mig.migrated, mig.age_bins,
+               mig.snapshot_ms_per_session, mig.migrate_ms_per_session,
+               mig.first_bin_ms, mig.post_drain_steps_per_s,
+               mig.batched_step_share,
+               mig.identical ? "true" : "false", last ? "" : ",");
 }
 
 }  // namespace
@@ -282,21 +379,41 @@ int main() {
               all_identical ? "bit-identical to sequential execution"
                             : "DIVERGED — serving bug");
 
-  // Snapshot-replay migration at the paper's motor dims (x=6, z=164).
-  const MigrationResult mig = run_migration_bench();
-  all_identical = all_identical && mig.identical;
-  std::printf("\next: snapshot-replay migration — motor x=6 z=164, "
-              "%zu sessions, 2 shards\n\n",
-              mig.sessions);
-  std::printf("checkpoint : %.3f ms/session (SessionSnapshot codec, "
-              "%zu sessions)\n",
-              mig.snapshot_ms_per_session, mig.sessions);
-  std::printf("migration  : %.3f ms/session (snapshot + restore + requeue, "
-              "%zu sessions drained)\n",
-              mig.migrate_ms_per_session, mig.migrated);
-  std::printf("trajectories %s after migration\n",
-              mig.identical ? "bit-identical to sequential execution"
-                            : "DIVERGED — migration bug");
+  // Snapshot migration at the paper's motor dims (x=6, z=164).  Warm:
+  // one shared model, 50 bins old.  Cold: a model per user (per-user seed),
+  // 150 bins old, so no target shard has its schedule cached.
+  std::vector<neural::NeuralDataset> shared_model;
+  {
+    neural::DatasetSpec motor = neural::motor_spec();
+    motor.test_steps = 100;
+    shared_model.push_back(neural::build_dataset(motor));
+  }
+  const MigrationResult mig = run_migration_bench(shared_model, 16, 50);
+  std::vector<neural::NeuralDataset> per_user;
+  constexpr std::size_t kColdSessions = 16;
+  for (std::size_t u = 0; u < kColdSessions; ++u) {
+    neural::DatasetSpec motor = neural::motor_spec();
+    motor.seed += 101 * (u + 1);
+    motor.test_steps = 180;
+    per_user.push_back(neural::build_dataset(motor));
+  }
+  const MigrationResult cold =
+      run_migration_bench(per_user, kColdSessions, 150);
+  // Skewed: one shared model, 16 sessions 150, 142, ..., 30 bins old.
+  std::vector<neural::NeuralDataset> shared_long;
+  {
+    neural::DatasetSpec motor = neural::motor_spec();
+    motor.test_steps = 250;
+    shared_long.push_back(neural::build_dataset(motor));
+  }
+  const MigrationResult skewed =
+      run_migration_bench(shared_long, 16, 150, /*stagger=*/8);
+  all_identical =
+      all_identical && mig.identical && cold.identical && skewed.identical;
+  std::printf("\next: snapshot migration — motor x=6 z=164, 2 shards\n\n");
+  print_migration("warm", mig);
+  print_migration("cold", cold);
+  print_migration("skew", skewed);
 
   // Machine-readable record for scripts/bench_perf.sh and CI artifacts.
   if (FILE* f = std::fopen("BENCH_serve.json", "w")) {
@@ -312,22 +429,15 @@ int main() {
                  "  \"batched_steps_per_s\": %.1f,\n"
                  "  \"batched_speedup\": %.3f,\n"
                  "  \"batched_steps\": %zu,\n"
-                 "  \"identical\": %s,\n"
-                 "  \"migration\": {\n"
-                 "    \"dataset\": \"motor\",\n"
-                 "    \"sessions\": %zu,\n"
-                 "    \"migrated\": %zu,\n"
-                 "    \"snapshot_ms_per_session\": %.3f,\n"
-                 "    \"migrate_ms_per_session\": %.3f,\n"
-                 "    \"identical\": %s\n"
-                 "  }\n"
-                 "}\n",
+                 "  \"identical\": %s,\n",
                  spec.name.c_str(), fleet, bins, hw,
                  linalg::simd::tier_name(linalg::simd::active_tier()),
                  solo.steps_per_s, batched.steps_per_s, batch_speedup,
-                 batched.batched_steps, all_identical ? "true" : "false",
-                 mig.sessions, mig.migrated, mig.snapshot_ms_per_session,
-                 mig.migrate_ms_per_session, mig.identical ? "true" : "false");
+                 batched.batched_steps, all_identical ? "true" : "false");
+    print_migration_json(f, "migration", mig, /*last=*/false);
+    print_migration_json(f, "migration_cold", cold, /*last=*/false);
+    print_migration_json(f, "migration_skewed", skewed, /*last=*/true);
+    std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_serve.json\n");
   }

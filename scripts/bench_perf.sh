@@ -9,7 +9,10 @@
 # Then the serving trajectory: bench_ext_multi_session refreshes
 # BENCH_serve.json with the batched-vs-solo sessions/s ratio for a
 # same-config fleet (docs/serving.md) and this script floors it at 2x,
-# requiring bit-identical trajectories in both modes.
+# requiring bit-identical trajectories in both modes; it also holds warm
+# (shared-model), cold (per-user, 150-bin-old) and skewed (shared-model,
+# ages 150..30 bins) drain migration to a 5 ms/session ceiling and to
+# bit-identity with sequential decoding.
 #
 # Usage: scripts/bench_perf.sh [quick|full]
 #   quick  — short repetitions, for CI smoke (default min_time)
@@ -127,26 +130,39 @@ if speedup < 2.0:
 EOF
 
 echo
-echo "== bench_perf: snapshot-replay migration (motor x=6, z=164) =="
+echo "== bench_perf: snapshot migration (motor x=6, z=164) =="
 python3 - <<'EOF'
 import json
 
 with open("BENCH_serve.json") as f:
     data = json.load(f)
-mig = data.get("migration")
-if mig is None:
-    raise SystemExit("bench_perf: migration series missing from JSON")
-print(f"checkpoint {mig['snapshot_ms_per_session']:8.3f} ms/session")
-print(f"migration  {mig['migrate_ms_per_session']:8.3f} ms/session "
-      "(floor: 5 ms, snapshot + restore + requeue)")
-if not mig["identical"]:
-    raise SystemExit(
-        "bench_perf: migrated trajectories diverged from sequential")
-if mig["migrated"] == 0:
-    raise SystemExit("bench_perf: no sessions were migrated")
-if mig["migrate_ms_per_session"] > 5.0:
-    raise SystemExit(
-        "bench_perf: migration above the 5 ms/session ceiling")
+# warm: one shared model, the target shard's schedule cache already holds
+# it.  cold: a model per user and sessions >= 150 bins old, so the target
+# has never seen the schedule and must resume from the snapshot's
+# recursion state — the series that catches a restore replaying history.
+# skewed: one shared model, session ages 150..30 bins, so a drained session
+# can land ahead of its target shard's schedule.
+for key, label in (("migration", "warm"), ("migration_cold", "cold"),
+                   ("migration_skewed", "skewed")):
+    mig = data.get(key)
+    if mig is None:
+        raise SystemExit(f"bench_perf: {label} migration series missing from JSON")
+    print(f"{label} checkpoint {mig['snapshot_ms_per_session']:8.3f} ms/session")
+    print(f"{label} migration  {mig['migrate_ms_per_session']:8.3f} ms/session "
+          "(floor: 5 ms, snapshot + restore + requeue)")
+    print(f"{label} after drain: first bin {mig['first_bin_ms']:.3f} ms, then "
+          f"{mig['post_drain_steps_per_s']:.0f} steps/s, "
+          f"{mig['batched_step_share']:.3f} batched")
+    if not mig["identical"]:
+        raise SystemExit(
+            f"bench_perf: {label} migrated trajectories diverged from sequential")
+    if mig["migrated"] == 0:
+        raise SystemExit(f"bench_perf: no {label} sessions were migrated")
+    if label == "cold" and mig["age_bins"] < 150:
+        raise SystemExit("bench_perf: cold migration sessions younger than 150 bins")
+    if mig["migrate_ms_per_session"] > 5.0:
+        raise SystemExit(
+            f"bench_perf: {label} migration above the 5 ms/session ceiling")
 EOF
 
 echo "bench_perf: OK (BENCH_kernels.json + BENCH_serve.json refreshed)"

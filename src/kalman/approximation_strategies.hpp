@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "common/realtime.hpp"
@@ -146,6 +147,24 @@ class TaylorStrategy final : public InverseStrategy<T> {
     s0_ = Matrix<T>();
     v0_ = Matrix<T>();
     last_event_ = {};
+  }
+
+  void export_state(StrategyState<T>& out) const override {
+    out = StrategyState<T>{};
+    out.seed_ready = anchored_;
+    out.seed = v0_;
+    out.anchor = s0_;
+  }
+
+  void import_state(const StrategyState<T>& state) override {
+    if (state.seed_ready && (state.seed.empty() || state.anchor.empty())) {
+      throw std::invalid_argument("TaylorStrategy: seed_ready, no seed/anchor");
+    }
+    reset();
+    if (!state.seed_ready) return;
+    anchored_ = true;
+    v0_ = state.seed;
+    s0_ = state.anchor;
   }
 
  private:

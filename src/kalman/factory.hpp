@@ -54,6 +54,12 @@ class CountedStrategy final : public InverseStrategy<T> {
   void reset() override { inner_->reset(); }
   bool request_calculation() override { return inner_->request_calculation(); }
   bool harden_seed_policy() override { return inner_->harden_seed_policy(); }
+  void export_state(StrategyState<T>& out) const override {
+    inner_->export_state(out);
+  }
+  void import_state(const StrategyState<T>& state) override {
+    inner_->import_state(state);
+  }
 
  private:
   InverseStrategyPtr<T> inner_;

@@ -292,6 +292,38 @@ class KalmanFilter {
     recursion_.p() = std::move(p);
   }
 
+  // State transfer (serve/snapshot.hpp): the recursion state and the
+  // health monitor's ladder state.  A filter built from the same config
+  // that imports them together with state() continues bit for bit.
+  void export_state(RecursionState<T>& recursion,
+                    HealthState<T>& health) const {
+    recursion_.export_state(recursion);
+    health_.export_state(health);
+  }
+
+  // Throws std::invalid_argument on a shape mismatch (x, P, the strategy
+  // matrices, or the health monitor's last-good estimate / fallback gain,
+  // which must be present exactly when their flags say so); the filter is
+  // unchanged then.
+  void import_state(const Vector<T>& x, const RecursionState<T>& recursion,
+                    const HealthState<T>& health) {
+    const std::size_t xd = model_.x_dim();
+    const Matrix<T>& gain = health.fallback_gain;
+    const bool gain_fits =
+        gain.empty() ? !health.stats.fallback_active
+                     : gain.rows() == xd && gain.cols() == model_.z_dim();
+    const bool last_good_fits = health.last_good_x.empty()
+                                    ? !health.has_last_good
+                                    : health.last_good_x.size() == xd;
+    if (x.size() != xd || !gain_fits || !last_good_fits) {
+      throw std::invalid_argument("KalmanFilter::import_state: shape mismatch");
+    }
+    recursion_.import_state(recursion);
+    health_.import_state(health);
+    x_ = x;
+    x_pred_ = x;
+  }
+
   const Vector<T>& state() const { return x_; }
   // The prior prediction x' = F x of the most recent step (before the
   // measurement update).  Adaptive decoders regress on this instead of the

@@ -33,8 +33,10 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "kalman/filter_config.hpp"
 #include "kalman/recursion.hpp"
@@ -61,6 +63,38 @@ class GainSchedule {
         recursion_(config_.model, config_.make_strategy(),
                    config_.options.joseph_update) {}
 
+  // Resume another schedule from its exported head (export_head): the
+  // recursion continues at head.n and `entries` are the resident entries of
+  // iterations [head.n - entries.size(), head.n).  No iteration is
+  // recomputed, so this costs O(1) recursion steps at any age.
+  // `fingerprint` must be config.fingerprint(), which the caller already
+  // holds (hashing a z=164 model costs ~0.3 ms).  Throws
+  // std::invalid_argument when head or an entry does not fit the config's
+  // dimensions, or there are more entries than iterations.
+  GainSchedule(FilterConfig<double> config, std::size_t window,
+               std::uint64_t fingerprint, const RecursionState<double>& head,
+               std::vector<std::shared_ptr<const Entry>> entries)
+      : config_(std::move(config)),
+        fingerprint_(fingerprint),
+        window_(window == 0 ? 1 : window),
+        recursion_(config_.model, config_.make_strategy(),
+                   config_.options.joseph_update) {
+    if (entries.size() > head.n) {
+      throw std::invalid_argument("GainSchedule: more entries than iterations");
+    }
+    const std::size_t x = config_.model.x_dim();
+    const std::size_t z = config_.model.z_dim();
+    for (const auto& e : entries) {
+      if (!e || e->k.rows() != x || e->k.cols() != z ||
+          !e->p_after.same_shape(config_.model.p0)) {
+        throw std::invalid_argument("GainSchedule: entry shape mismatch");
+      }
+    }
+    recursion_.import_state(head);
+    base_ = head.n - entries.size();
+    window_entries_.assign(entries.begin(), entries.end());
+  }
+
   static constexpr std::size_t kDefaultWindow = 4096;
 
   const FilterConfig<double>& config() const { return config_; }
@@ -74,6 +108,21 @@ class GainSchedule {
     while (recursion_.iteration() <= n) advance_locked();
     if (n < base_) return nullptr;
     return window_entries_[n - base_];
+  }
+
+  // The head's recursion state and the resident entries [from, computed()),
+  // read together under the schedule's lock; false (outputs untouched) when
+  // `from` already slid out of the window.  Entries are shared, not copied.
+  // A schedule behind `from` is first extended to it, as at(from) would.
+  bool export_head(std::size_t from, RecursionState<double>& head,
+                   std::vector<std::shared_ptr<const Entry>>& entries) {
+    std::lock_guard<std::mutex> lock(mu_);
+    while (recursion_.iteration() < from) advance_locked();
+    if (from < base_) return false;
+    recursion_.export_state(head);
+    entries.assign(window_entries_.begin() + std::ptrdiff_t(from - base_),
+                   window_entries_.end());
+    return true;
   }
 
   // Iterations computed so far ([base, computed) are resident).
@@ -104,7 +153,7 @@ class GainSchedule {
   }
 
   const FilterConfig<double> config_;
-  const std::uint64_t fingerprint_;
+  const std::uint64_t fingerprint_;  // config_.fingerprint()
   const std::size_t window_;
 
   mutable std::mutex mu_;

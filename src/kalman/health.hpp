@@ -206,6 +206,18 @@ bool vector_finite(const linalg::Vector<T>& v) {
 
 }  // namespace detail
 
+// The ladder's state between steps: what NumericalHealthMonitor carries
+// besides its config and probe scratch (exported with a filter's recursion
+// state so a migrated health-gated session climbs the same rungs).
+template <typename T>
+struct HealthState {
+  HealthStats stats;
+  std::size_t consecutive_healthy = 0;
+  bool has_last_good = false;
+  Vector<T> last_good_x;     // empty until the first healthy step
+  Matrix<T> fallback_gain;   // empty until the SSKF rung engages
+};
+
 // The per-filter health engine KalmanFilter::step drives.  Owns the ladder
 // state, the last finite estimate (for state restoration) and the probe
 // scratch; allocation-free after the first faulty/probed step.
@@ -231,6 +243,22 @@ class NumericalHealthMonitor {
     consecutive_healthy_ = 0;
     has_last_good_ = false;
     fallback_gain_ = Matrix<T>();
+  }
+
+  void export_state(HealthState<T>& out) const {
+    out.stats = stats_;
+    out.consecutive_healthy = consecutive_healthy_;
+    out.has_last_good = has_last_good_;
+    out.last_good_x = last_good_x_;
+    out.fallback_gain = fallback_gain_;
+  }
+
+  void import_state(const HealthState<T>& state) {
+    stats_ = state.stats;
+    consecutive_healthy_ = state.consecutive_healthy;
+    has_last_good_ = state.has_last_good;
+    last_good_x_ = state.last_good_x;
+    fallback_gain_ = state.fallback_gain;
   }
 
   // Called once per step before any check records into last_faults.

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 
 #include "common/realtime.hpp"
 #include "kalman/calculation_strategies.hpp"
@@ -101,6 +102,37 @@ class InterleavedStrategy final : public InverseStrategy<T> {
     last_event_ = {};
   }
 
+  // The policy-selected seed is the only one path B reads: under policy 1
+  // last_calculated_ is write-only, and hardening to policy 0 always comes
+  // with a forced calculation that rewrites both seeds before any read.
+  void export_state(StrategyState<T>& out) const override {
+    out.seed_ready = seed_ready_;
+    out.force_calculation = force_calculation_;
+    out.hardened = config_.policy != initial_config_.policy;
+    if (seed_ready_) {
+      out.seed = config_.policy == SeedPolicy::kPreviousIteration
+                     ? previous_
+                     : last_calculated_;
+    } else {
+      out.seed = Matrix<T>();
+    }
+    out.anchor = Matrix<T>();
+  }
+
+  void import_state(const StrategyState<T>& state) override {
+    if (state.seed_ready && state.seed.empty()) {
+      throw std::invalid_argument("InterleavedStrategy: seed_ready, no seed");
+    }
+    reset();
+    if (state.hardened) config_.policy = SeedPolicy::kLastCalculated;
+    force_calculation_ = state.force_calculation;
+    seed_ready_ = state.seed_ready;
+    if (seed_ready_) {
+      last_calculated_ = state.seed;
+      previous_ = state.seed;
+    }
+  }
+
   // Recovery hooks: the health ladder forces the next inversion onto the
   // calculation path / pins the seed to the last-calculated inverse (both
   // sticky until reset()).
@@ -151,6 +183,18 @@ class LiteStrategy final : public InverseStrategy<T> {
 
   void reset() override { previous_ = initial_seed_; }
 
+  void export_state(StrategyState<T>& out) const override {
+    out = StrategyState<T>{};
+    out.seed = previous_;
+  }
+
+  void import_state(const StrategyState<T>& state) override {
+    if (state.seed.empty()) {
+      throw std::invalid_argument("LiteStrategy: no seed to import");
+    }
+    previous_ = state.seed;
+  }
+
  private:
   Matrix<T> initial_seed_;
   Matrix<T> previous_;
@@ -182,6 +226,18 @@ class ConstantInverseStrategy final : public InverseStrategy<T> {
   }
 
   void reset() override {}
+
+  void export_state(StrategyState<T>& out) const override {
+    out = StrategyState<T>{};
+    out.seed = constant_inverse_;
+  }
+
+  void import_state(const StrategyState<T>& state) override {
+    if (state.seed.empty()) {
+      throw std::invalid_argument("ConstantInverseStrategy: no seed to import");
+    }
+    constant_inverse_ = state.seed;
+  }
 
  private:
   Matrix<T> constant_inverse_;

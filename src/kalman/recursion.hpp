@@ -33,6 +33,16 @@ namespace kalmmind::kalman {
 
 using linalg::Vector;
 
+// The whole state of a GainRecursion between two iterations: the strategy
+// state plus P and n.  Temporaries are not part of it — every phase
+// overwrites them before reading.
+template <typename T>
+struct RecursionState {
+  std::size_t n = 0;  // iteration the next invert() runs at
+  Matrix<T> p;        // posterior covariance P (x x x)
+  StrategyState<T> strategy;
+};
+
 template <typename T>
 class GainRecursion {
  public:
@@ -129,6 +139,33 @@ class GainRecursion {
     update_covariance(m);
     advance();
     return event;
+  }
+
+  // State transfer: a recursion that imports another's exported state
+  // (same model, options and StrategySpec) continues it bit for bit.
+  void export_state(RecursionState<T>& out) const {
+    out.n = n_;
+    out.p = p_;
+    strategy_->export_state(out.strategy);
+  }
+
+  // Throws std::invalid_argument when P, the seed or the anchor does not
+  // fit this recursion's dimensions (seed/anchor may be empty), or the
+  // strategy lacks a seed its flags say it has; the recursion is unchanged
+  // then.
+  void import_state(const RecursionState<T>& state) {
+    const std::size_t z = s_.rows();
+    auto fits_z = [z](const Matrix<T>& m) {
+      return m.empty() || (m.rows() == z && m.cols() == z);
+    };
+    if (!state.p.same_shape(p_) || !fits_z(state.strategy.seed) ||
+        !fits_z(state.strategy.anchor)) {
+      throw std::invalid_argument(
+          "GainRecursion::import_state: shape mismatch");
+    }
+    strategy_->import_state(state.strategy);
+    p_ = state.p;
+    n_ = state.n;
   }
 
   // Posterior covariance P (mutable: predict-only steps and the health

@@ -31,6 +31,26 @@ struct InverseEvent {
   std::size_t newton_iterations = 0;  // internal iterations on path B
 };
 
+// Everything a stateful strategy carries from one invert() call into the
+// next, besides S and n: the seed its next approximation reads plus the
+// recovery flags that change which path that inversion takes.  Because
+// compute K never reads a measurement (PAPER.md pillar 1), this plus P and
+// n is the whole state of a GainRecursion — export it, import it into a
+// strategy built from the same spec, and the recursion continues bit for
+// bit (serve/snapshot.hpp migrates sessions this way).
+template <typename T>
+struct StrategyState {
+  // The one inverse the next approximation starts from: interleaved's
+  // last-calculated or previous inverse (whichever its policy reads),
+  // LITE's previous inverse, Taylor's V0 = S_0^-1, SSKF's constant
+  // inverse.  Empty for stateless strategies and before the first inverse.
+  Matrix<T> seed;
+  Matrix<T> anchor;                // Taylor's S_0; empty for every other kind
+  bool seed_ready = false;         // a seed exists (interleaved, Taylor)
+  bool force_calculation = false;  // request_calculation() still pending
+  bool hardened = false;           // harden_seed_policy() in effect
+};
+
 template <typename T>
 class InverseStrategy {
  public:
@@ -54,6 +74,15 @@ class InverseStrategy {
   virtual InverseEvent last_event() const = 0;
 
   virtual void reset() = 0;
+
+  // --- State transfer (see StrategyState) ---------------------------------
+  // Stateless strategies export the default state and import by reset().
+  // import_state() replaces the whole state; its precondition is a state
+  // exported by a strategy built from the same StrategySpec.
+  virtual void export_state(StrategyState<T>& out) const {
+    out = StrategyState<T>{};
+  }
+  virtual void import_state(const StrategyState<T>& /*state*/) { reset(); }
 
   // --- Recovery hooks (kalman/health.hpp) --------------------------------
   // Ask the strategy to run its exact calculation path (path A) on the next

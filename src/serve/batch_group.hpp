@@ -176,6 +176,10 @@ class BatchGroup {
                   std::vector<std::shared_ptr<Session>>& members)
       KALMMIND_REALTIME {
     const std::size_t n = cohort_[begin].n;
+    // The cohort's compute time starts before the schedule probe: a probe
+    // that has to extend the schedule computes this iteration's K/P, which
+    // is part of decoding the cohort (docs/serving.md).
+    const auto t0 = std::chrono::steady_clock::now();
     const std::shared_ptr<const kalman::GainSchedule::Entry> entry =
         // kalmmind-lint: allow(RT1,RT2) one bounded schedule-cache probe per cohort pass, amortized over every member; advance past a window boundary allocates the next entry for the whole fleet
         schedule_->at(n);
@@ -199,7 +203,6 @@ class BatchGroup {
       return;
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
     const kalman::FilterConfig<double>& cfg = schedule_->config();
     const std::size_t m = end - begin;
     const std::size_t x_dim = cfg.model.x_dim();

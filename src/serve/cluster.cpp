@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -70,7 +71,7 @@ struct ShardedDecodeServer::Route {
   // fenced shard is re-applied to the restored incarnation with this mode,
   // so kDiscard survives a migration instead of silently draining.
   CloseMode close_mode = CloseMode::kDrain;
-  bool dead = false;     // non-replayable stream lost its shard
+  bool dead = false;     // lost its shard and no shard could host it
 
   std::uint64_t accepted = 0;          // bins the cluster accepted
   std::uint64_t rejected_overload = 0; // admission bounces
@@ -80,8 +81,7 @@ struct ShardedDecodeServer::Route {
   // last checkpoint on a shard that died).
   std::uint64_t discarded_failover = 0;
 
-  bool has_snap = false;
-  SessionSnapshot snap;
+  std::optional<SessionSnapshot> snap;  // the last checkpoint, if any
   // Decoded states already checkpointed out of live incarnations.  The
   // first prefix.size() - incarnation_copied entries precede the current
   // incarnation; the tail duplicates its first incarnation_copied states.
@@ -97,7 +97,6 @@ struct ShardedDecodeServer::Route {
 struct ShardedDecodeServer::Evacuee {
   SessionId id = kInvalidSession;
   Route* route = nullptr;
-  Status status = Status::Ok();       // not ok: the route cannot move
   std::deque<Vector<double>> queued;  // undecoded tail to resubmit in order
   SessionStatsSnapshot final_stats;   // the route's stats if it dies
 };
@@ -446,7 +445,6 @@ ShardedDecodeServer::live_routes(std::size_t shard) const {
     route.incarnation_copied = snap.recorded_states;
   }
   route.snap = std::move(snap);
-  route.has_snap = true;
   ++snapshots_taken_;
   return Status::Ok();
 }
@@ -523,21 +521,12 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
                                         std::size_t target,
                                         const char* reason,
                                         std::deque<Vector<double>>& queued) {
-  // admin_mu_ held.  The stored snapshot (or a synthesized iteration-0 one
-  // for streams never checkpointed) is replayed on the target shard.
-  SessionSnapshot snap;
-  if (route.has_snap) {
-    snap = route.snap;
-  } else {
-    snap.config_fingerprint = route.config.filter.fingerprint();
-    snap.iteration = 0;
-    const auto& x0 = route.config.filter.model.x0;
-    snap.x.resize(x0.size());
-    for (std::size_t i = 0; i < x0.size(); ++i) snap.x[i] = x0[i];
-  }
-  Status status = Status::Ok();
+  // admin_mu_ held.  The stored snapshot resumes on the target shard; a
+  // stream never checkpointed starts over there from x0.
+  DecodeServer& server = *shards_[target]->server;
   const SessionId local =
-      shards_[target]->server->restore_session(route.config, snap, &status);
+      route.snap ? server.restore_session(route.config, *route.snap)
+                     : server.open_session(route.config);
   if (local == DecodeServer::kInvalidSession) return false;
   {
     std::lock_guard<std::mutex> lock(shards_[target]->adm_mu);
@@ -546,7 +535,7 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
   // Replay the stolen undecoded tail, in order, before any client submit
   // can reach the new incarnation (the route still points at the fenced
   // source until the rewrite below).
-  for (auto& z : queued) shards_[target]->server->submit(local, std::move(z));
+  for (auto& z : queued) server.submit(local, std::move(z));
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     route.shard = target;
@@ -555,8 +544,8 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
   }
   ++sessions_migrated_;
   telemetry::FlightRecorder::global().record(
-      telemetry::FlightEventKind::kSessionMigrated, id, snap.steps, target,
-      0.0, reason);
+      telemetry::FlightEventKind::kSessionMigrated, id,
+      route.snap ? route.snap->steps : 0, target, 0.0, reason);
   return true;
 }
 
@@ -580,11 +569,10 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
   for (Evacuee& e : moving) {
     // Fresh snapshot at the quiesced edge: the session is idle, so the
     // checkpoint is exactly its latest decode and the stolen queue is
-    // exactly its undecoded tail — the migration is lossless.  A stream
-    // whose checkpoint fails (degraded/ejected) cannot move.  Should it
-    // die, its stolen queue counts as discarded — nothing vanishes
-    // silently.
-    e.status = checkpoint_route(e.id, *e.route);
+    // exactly its undecoded tail — the migration is lossless.  Every kind
+    // of live session checkpoints.  Should the route find no host, its
+    // stolen queue counts as discarded — nothing vanishes silently.
+    (void)checkpoint_route(e.id, *e.route);
     e.queued = source.server->steal_queue(e.route->local);
     e.final_stats = source.server->session_stats(e.route->local);
     e.final_stats.discarded += e.queued.size();
@@ -595,10 +583,9 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
     source.migrations_out += moved;
   }
   rebuild_locked(source);
-  Status worst = Status::Ok();
-  for (const Evacuee& e : moving)
-    if (!e.status.ok()) worst = e.status;
-  return worst;
+  if (moved < moving.size())
+    return Status::Unavailable("cluster: no shard could host a session");
+  return Status::Ok();
 }
 
 void ShardedDecodeServer::failover_shard_locked(std::size_t index,
@@ -617,29 +604,19 @@ void ShardedDecodeServer::failover_shard_locked(std::size_t index,
     Route& route = *e.route;
     // Postmortem evidence before the journal-owning incarnation goes away.
     telemetry::FlightRecorder::global().postmortem(e.id, "shard_failover");
+    // The route's surviving history is its last snapshot: its carried
+    // counters are the final stats should no shard take the route.
+    if (route.snap) static_cast<SessionCounters&>(e.final_stats) = *route.snap;
     // Bins the cluster accepted that neither the snapshot's counters nor a
     // resubmission can account for: decoded-after-snapshot or queued at
     // death.  The client's resubmission cursor (next_expected_bin) starts
     // them over; acknowledging them here keeps conservation closed.
-    const std::uint64_t accounted =
-        (route.has_snap
-             ? route.snap.steps + route.snap.invalid_steps +
-                   route.snap.quarantine_dropped + route.snap.dropped +
-                   route.snap.discarded
-             : 0) +
-        route.discarded_failover;
+    const SessionCounters& c = e.final_stats;
+    const std::uint64_t accounted = c.steps + c.invalid_steps +
+                                    c.quarantine_dropped + c.dropped +
+                                    c.discarded + route.discarded_failover;
     if (route.accepted > accounted)
       route.discarded_failover += route.accepted - accounted;
-    // If no shard takes the route (e.g. a non-batchable config), its
-    // surviving history is its last snapshot: final stats come from the
-    // carried counters so conservation stays closed.
-    if (route.has_snap) {
-      e.final_stats.steps = route.snap.steps;
-      e.final_stats.invalid_steps = route.snap.invalid_steps;
-      e.final_stats.quarantine_dropped = route.snap.quarantine_dropped;
-      e.final_stats.dropped = route.snap.dropped;
-      e.final_stats.discarded = route.snap.discarded;
-    }
   }
   // The shard is treated as dead: its live queues and post-snapshot decodes
   // are unrecoverable.  Tear it down first (the DecodeServer destructor
@@ -652,11 +629,8 @@ void ShardedDecodeServer::failover_shard_locked(std::size_t index,
 std::vector<ShardedDecodeServer::Evacuee> ShardedDecodeServer::evacuees(
     std::size_t shard) const {
   std::vector<Evacuee> out;
-  for (const auto& [id, route] : live_routes(shard)) {
-    out.emplace_back();
-    out.back().id = id;
-    out.back().route = route;
-  }
+  for (const auto& [id, route] : live_routes(shard))
+    out.push_back({id, route, {}, {}});
   return out;
 }
 
@@ -665,32 +639,29 @@ std::size_t ShardedDecodeServer::evacuate_locked(
   std::size_t moved = 0;
   for (Evacuee& e : moving) {
     Route& route = *e.route;
-    if (e.status.ok()) {
-      const std::size_t target = place(e.id, index);
-      if (target < shards_.size() &&
-          restore_route(e.id, route, target, reason, e.queued)) {
-        // closed/close_mode are written by close_session under routes_mu_
-        // (concurrently — a close deferred by our fence), so re-read them
-        // under it.  Reading after the route rewrite means a deferral
-        // either lands here or applied itself directly to the new
-        // incarnation.
-        bool deferred_close = false;
-        CloseMode deferred_mode = CloseMode::kDrain;
-        {
-          std::lock_guard<std::mutex> lock(routes_mu_);
-          deferred_close = route.closed;
-          deferred_mode = route.close_mode;
-        }
-        if (deferred_close)
-          shards_[route.shard]->server->close_session(route.local,
-                                                      deferred_mode);
-        ++moved;
-        continue;
+    const std::size_t target = place(e.id, index);
+    if (target < shards_.size() &&
+        restore_route(e.id, route, target, reason, e.queued)) {
+      // closed/close_mode are written by close_session under routes_mu_
+      // (concurrently — a close deferred by our fence), so re-read them
+      // under it.  Reading after the route rewrite means a deferral
+      // either lands here or applied itself directly to the new
+      // incarnation.
+      bool deferred_close = false;
+      CloseMode deferred_mode = CloseMode::kDrain;
+      {
+        std::lock_guard<std::mutex> lock(routes_mu_);
+        deferred_close = route.closed;
+        deferred_mode = route.close_mode;
       }
-      e.status = Status::Unavailable("cluster: no shard could host a session");
+      if (deferred_close)
+        shards_[route.shard]->server->close_session(route.local,
+                                                    deferred_mode);
+      ++moved;
+      continue;
     }
-    // Dead-route accounting: the stream stops here, with the final stats
-    // its evacuation prepared.
+    // Dead-route accounting: no shard could host the stream, so it stops
+    // here, with the final stats its evacuation prepared.
     std::lock_guard<std::mutex> lock(routes_mu_);
     route.dead = true;
     route.final_stats = std::move(e.final_stats);
@@ -753,7 +724,7 @@ void ShardedDecodeServer::tick() {
         break;
       case ShardState::kProbe:
         if (shard.stall_suspected) {
-          // A wedged consumer cannot be trusted to drain: snapshot-replay
+          // A wedged consumer cannot be trusted to drain: snapshot
           // failover (bins past the checkpoints are counted discarded).
           failover_shard_locked(shard.index, "stall");
         } else {
@@ -773,9 +744,8 @@ void ShardedDecodeServer::tick() {
     for (auto& [id, route] : live_routes(kAllShards)) {
       const auto s =
           shards_[route->shard]->server->session_stats(route->local);
-      const std::size_t since =
-          route->has_snap ? s.steps - route->snap.steps : s.steps;
-      if (!route->has_snap || since >= options_.checkpoint_every_bins)
+      if (!route->snap ||
+          s.steps - route->snap->steps >= options_.checkpoint_every_bins)
         (void)checkpoint_route(id, *route);
     }
   }

@@ -1,5 +1,5 @@
 // ShardedDecodeServer: N in-process DecodeServer shards behind
-// consistent-hash session placement, with snapshot-replay failover,
+// consistent-hash session placement, with snapshot failover,
 // admission control and backpressure (docs/serving.md, docs/robustness.md).
 //
 // This is the survivability layer the ROADMAP's sharded-service item needs
@@ -29,9 +29,9 @@
 //    healthy -> probe      no new placements; watch another tick
 //    probe   -> drain      lossless: checkpoint + steal-queue + restore on
 //                          a healthy shard, resubmit stolen bins in order
-//    probe   -> quarantine a wedged shard (stall) skips drain: snapshot-
-//                          replay failover; bins past the last checkpoint
-//                          are counted discarded, the client resubmits
+//    probe   -> quarantine a wedged shard (stall) skips drain: snapshot
+//                          failover; bins past the last checkpoint are
+//                          counted discarded, the client resubmits
 //    drain/quarantine ->   rebuild: fresh DecodeServer incarnation, shard
 //    healthy               rejoins the placement ring
 // fail_shard (KALMMIND_FAULTS) jumps straight to the quarantine rung.
@@ -39,10 +39,11 @@
 // what they feed it (a fresh checkpoint plus the stolen queue, or the last
 // snapshot plus the loss it counts).
 //
-// Failover is bit-exact: a restored session pulls gains from the target
-// shard's GainScheduleCache at exactly the snapshot iteration, so its
-// continued trajectory is bit-identical to an uninterrupted run
-// (tests/serve/cluster_test.cpp proves this under seeded shard kills).
+// Failover is bit-exact: a snapshot carries the session's recursion state
+// (serve/snapshot.hpp), so a restored session of any kind continues
+// bit-identical to an uninterrupted run without replaying its past
+// (tests/serve/cluster_test.cpp proves this under seeded shard kills).  A
+// route dies only when no shard can host it.
 //
 // Admission control: per-shard pending-bin watermarks with hysteresis.
 // Above high_watermark submit() returns an Overloaded Status (never
@@ -228,8 +229,7 @@ class ShardedDecodeServer {
   void tick();
 
   // Snapshot the session now (stored for failover; also journals
-  // kSnapshotTaken).  Fails for unknown/dead sessions and non-replayable
-  // streams.
+  // kSnapshotTaken).  Fails for unknown and dead sessions.
   [[nodiscard]] Status checkpoint(SessionId id);
   // Checkpoint every live session; returns how many succeeded.
   std::size_t checkpoint_all();
@@ -258,7 +258,7 @@ class ShardedDecodeServer {
   // Fault-injection hooks (KALMMIND_FAULTS builds only).  stall: the shard
   // stops being pumped — queues grow, the ladder detects the stall.
   // fail: the shard is fenced and synchronously failed over (snapshot
-  // replay on healthy peers), then rebuilt.
+  // restore on healthy peers), then rebuilt.
   void fault_stall_shard(std::size_t shard, bool stalled);
   void fault_fail_shard(std::size_t shard);
 #endif
@@ -285,7 +285,7 @@ class ShardedDecodeServer {
   void rebuild_locked(Shard& shard);
   // Lossless migration of every session off `shard` (admin_mu_ held).
   [[nodiscard]] Status drain_shard_locked(std::size_t shard);
-  // Snapshot-replay failover of every session off `shard` (admin_mu_
+  // Snapshot failover of every session off `shard` (admin_mu_
   // held); queued and post-snapshot bins are counted discarded.
   void failover_shard_locked(std::size_t shard, const char* reason);
   // The live routes of `shard` (kAllShards: of every shard), and the same
@@ -295,9 +295,9 @@ class ShardedDecodeServer {
       std::size_t shard) const;
   std::vector<Evacuee> evacuees(std::size_t shard) const;
   // The route loop drain and failover share (admin_mu_ held, `shard`
-  // fenced): place each evacuee whose status is ok on a peer and restore
-  // it, re-applying a close deferred by the fence; every other evacuee
-  // dies with its prepared final stats.  Returns how many routes moved.
+  // fenced): place each evacuee on a peer and restore it, re-applying a
+  // close deferred by the fence; an evacuee no shard can host dies with
+  // its prepared final stats.  Returns how many routes moved.
   std::size_t evacuate_locked(std::size_t shard, const char* reason,
                               std::vector<Evacuee>& moving);
   // Move one route to `target` from its stored snapshot; `queued` is the

@@ -1,6 +1,6 @@
 // Umbrella header for the serving layer: the multi-session streaming
 // decode engine (DecodeServer), the sharded cluster on top of it
-// (ShardedDecodeServer: snapshot-replay failover, admission control,
+// (ShardedDecodeServer: snapshot failover, admission control,
 // backpressure), their building blocks (Session, BatchGroup, ThreadPool,
 // SessionSnapshot) and the stats snapshots.
 #pragma once

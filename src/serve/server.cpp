@@ -69,12 +69,6 @@ SessionId DecodeServer::restore_session(SessionConfig config,
   return admit(std::move(config), &snap, status);
 }
 
-bool DecodeServer::batchable(const SessionConfig& config) const {
-  // Health gates read the decoded state, so a health-enabled session's gain
-  // trajectory is measurement-dependent: never batch it.
-  return options_.batching && !config.filter.options.health.enabled;
-}
-
 SessionId DecodeServer::admit(SessionConfig config,
                               const SessionSnapshot* snap, Status* status) {
   auto fail = [status](Status why) {
@@ -82,20 +76,6 @@ SessionId DecodeServer::admit(SessionConfig config,
     return kInvalidSession;
   };
   if (Status s = config.check(); !s.ok()) return fail(s);
-  if (snap) {
-    if (config.filter.fingerprint() != snap->config_fingerprint)
-      return fail(Status::Invalid(
-          "restore: snapshot fingerprint does not match config"));
-    if (snap->x.size() != config.filter.model.x_dim())
-      return fail(Status::Invalid("restore: state dimension mismatch"));
-    // Bit-exact resumption needs the shared gain schedule: the restored
-    // session pulls K at exactly snap.iteration from the cache, which a solo
-    // filter's freshly-constructed strategy cannot reproduce mid-trajectory.
-    if (!batchable(config))
-      return fail(Status::Invalid(
-          "restore: config is not batchable on this server (bit-exact "
-          "replay needs the shared gain schedule)"));
-  }
   SessionId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -105,49 +85,69 @@ SessionId DecodeServer::admit(SessionConfig config,
     }
     id = next_id_++;
   }
+  // Build the session and, for a restore, its recursion state — both
+  // outside mu_.  A restore runs no recursion step: a filter snapshot is
+  // imported into the session's own filter, a schedule snapshot joins the
+  // live group of its config or seeds a schedule at its head (O(1) at any
+  // session age).  The flight-session scope attributes the cache's journal
+  // events to the admitting session.
   std::shared_ptr<Session> session;
-  try {
-    session = std::make_shared<Session>(id, std::move(config));
-  } catch (const std::invalid_argument&) {
-    // config.check() passed, so this is a factory-parameter problem
-    // (e.g. sskf/lite without StrategyMatrices::preloaded_inverse).
-    return fail(Status::Invalid(
-        "SessionConfig: strategy is missing required parameters "
-        "(e.g. sskf/lite need StrategyMatrices::preloaded_inverse)"));
-  }
-  // Acquire the schedule outside mu_: a restore extends a cold schedule to
-  // snap.iteration, which computes that many K/P entries, and the admission
-  // lock must not pay for it.  The flight-session scope attributes the
-  // cache's hit/miss/eviction journal events to the admitting session.
   std::shared_ptr<kalman::GainSchedule> schedule;
   const std::size_t iteration = snap ? std::size_t(snap->iteration) : 0;
-  if (batchable(session->config())) {
+  const bool batched_restore = snap && snap->kind == SnapshotKind::kSchedule;
+  std::shared_ptr<Unit> live;  // the group a batched restore probed
+  try {
+    session = std::make_shared<Session>(id, std::move(config));
+    const kalman::FilterConfig<double>& filter = session->config().filter;
     telemetry::ScopedFlightSession flight(id, snap ? snap->steps : 0);
-    schedule = cache_.acquire(session->config().filter);
     if (snap) {
-      if (!schedule)
-        return fail(
-            Status::Invalid("restore: gain-schedule fingerprint collision"));
-      std::shared_ptr<const kalman::GainSchedule::Entry> entry;
-      if (iteration > 0) {
-        entry = schedule->at(iteration - 1);
-        if (!entry)
-          return fail(Status::Invalid(
-              "restore: iteration already slid out of the schedule window"));
+      session->prime_restore(*snap);
+      if (batched_restore) {
+        std::lock_guard<std::mutex> lock(mu_);
+        live = live_group_locked(*session, iteration);
       }
-      session->prime_restore(*snap, std::move(entry));
+      if (batched_restore && !live)
+        schedule = std::make_shared<kalman::GainSchedule>(
+            filter, options_.gain_window, session->fingerprint(),
+            snap->recursion, snap->entries);
+    } else if (options_.batching && !filter.options.health.enabled) {
+      // Health gates read the decoded state, so a health-enabled session's
+      // gain trajectory is measurement-dependent: never batch it.
+      schedule = cache_.acquire(filter);
     }
+  } catch (const std::invalid_argument&) {
+    // config.check() passed, so this is a factory-parameter problem (e.g.
+    // sskf/lite without StrategyMatrices::preloaded_inverse) or a snapshot
+    // that prime_restore() found not to match the config.
+    return fail(Status::Invalid(
+        snap ? "restore: snapshot does not match the config (fingerprint, "
+               "dimensions or recursion state)"
+             : "SessionConfig: strategy is missing required parameters "
+               "(e.g. sskf/lite need StrategyMatrices::preloaded_inverse)"));
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     Slot slot;
     slot.session = session;
-    // A fresh session that cannot join (fingerprint collision, slid window)
-    // decodes solo; a restore has no solo fallback.
-    if (!schedule || !join_group_locked(slot, std::move(schedule), iteration)) {
-      if (snap)
-        return fail(Status::Invalid(
-            "restore: live batch group cannot host this snapshot"));
+    std::shared_ptr<Unit> unit;
+    if (schedule || batched_restore)
+      unit = live_group_locked(*session, iteration);
+    // The probed group left groups_ since (its last member went): it still
+    // decodes, as a group of its own.
+    if (!unit) unit = live;
+    if (!unit && schedule && schedule->base() <= iteration) {
+      unit = std::make_shared<Unit>();
+      unit->group = std::make_shared<BatchGroup>(schedule);
+      // Only a schedule that starts at iteration 0 is registered: a seeded
+      // one decodes in a group of its own, so fresh sessions of the config
+      // still find a group they can join.
+      if (!snap) groups_.emplace(schedule->fingerprint(), unit);
+    }
+    // A fresh session with no group (fingerprint collision, slid window)
+    // decodes solo, like every restored filter snapshot.
+    if (unit) {
+      join_group_locked(slot, std::move(unit));
+    } else {
       slot.unit = std::make_shared<Unit>();
       slot.unit->session = session;
     }
@@ -163,33 +163,30 @@ SessionId DecodeServer::admit(SessionConfig config,
   return id;
 }
 
-bool DecodeServer::join_group_locked(
-    Slot& slot, std::shared_ptr<kalman::GainSchedule> schedule,
-    std::size_t iteration) {
-  const std::uint64_t key = schedule->fingerprint();
-  auto it = groups_.find(key);
-  if (it != groups_.end()) {
-    const BatchGroup& group = *it->second->group;
-    // A fingerprint collision against a live group, or a stream the group's
-    // window already slid past (it would eject on its first bin).
-    if (!(group.config() == slot.session->config().filter) ||
-        group.schedule()->base() > iteration)
-      return false;
-  } else {
-    if (schedule->base() > iteration) return false;
-    auto unit = std::make_shared<Unit>();
-    unit->group = std::make_shared<BatchGroup>(std::move(schedule));
-    it = groups_.emplace(key, std::move(unit)).first;
-  }
-  slot.session->enable_batching();
-  it->second->group->add(slot.session);
-  slot.unit = it->second;
+std::shared_ptr<DecodeServer::Unit> DecodeServer::live_group_locked(
+    const Session& session, std::size_t iteration) const {
+  auto it = groups_.find(session.fingerprint());
+  if (it == groups_.end()) return nullptr;
+  // A fingerprint collision, or a stream the group's window already slid
+  // past (it would eject on its first bin).  A group behind the stream
+  // computes the missing iterations on its next cohort — work its younger
+  // members would do anyway.
+  const BatchGroup& group = *it->second->group;
+  if (!(group.config() == session.config().filter) ||
+      group.schedule()->base() > iteration)
+    return nullptr;
+  return it->second;
+}
+
+void DecodeServer::join_group_locked(Slot& slot, std::shared_ptr<Unit> unit) {
+  slot.session->enable_batching(unit->group->schedule());
+  unit->group->add(slot.session);
   if (telemetry::enabled()) {
     auto& blackbox = telemetry::FlightRecorder::global();
     blackbox.record(telemetry::FlightEventKind::kBatchJoin,
-                    slot.session->id(), 0, key);
+                    slot.session->id(), 0, unit->group->key());
   }
-  return true;
+  slot.unit = std::move(unit);
 }
 
 PushResult DecodeServer::submit(SessionId id, Vector<double> z) {
@@ -365,13 +362,13 @@ std::vector<Vector<double>> DecodeServer::trajectory_slice(
     SessionId id, SessionSnapshot* out) const {
   auto session = find(id);
   if (!session) return Status::Invalid("checkpoint: unknown session");
-  Status s = session->checkpoint(out);
-  if (s.ok() && telemetry::enabled()) {
+  session->checkpoint(out);
+  if (telemetry::enabled()) {
     auto& blackbox = telemetry::FlightRecorder::global();
     blackbox.record(telemetry::FlightEventKind::kSnapshotTaken, id, out->steps,
                     out->iteration);
   }
-  return s;
+  return Status::Ok();
 }
 
 bool DecodeServer::remove_session(SessionId id) {

@@ -129,19 +129,23 @@ class DecodeServer {
 
   // --- checkpoint / restore / migration (serve/snapshot.hpp) --------------
 
-  // Capture the session's durable state.  Safe from any thread (reads only
-  // mu_-guarded mirrors); fails for unknown ids and for streams whose gain
-  // trajectory left the shared schedule (degraded/ejected/health-gated).
+  // Capture the session's durable state, recursion state included (see
+  // Session::checkpoint).  Safe from any thread; fails only for unknown ids.
   [[nodiscard]] Status checkpoint_session(SessionId id,
                                           SessionSnapshot* out) const;
 
-  // Admit a session that resumes from a snapshot: its next decode runs at
-  // the snapshot's schedule iteration, pulling gains from this server's
-  // (warm) GainScheduleCache — so the continued trajectory is bit-identical
-  // to the uninterrupted run.  Requires a batchable config (batching on,
-  // health disabled) whose fingerprint matches the
-  // snapshot; otherwise returns kInvalidSession with the reason in
-  // `status`.
+  // Admit a session that resumes from a snapshot of any kind of session
+  // (batched, solo, health-gated, degraded, ejected, quarantined): its
+  // next decode runs at the snapshot's iteration and the continued
+  // trajectory is bit-identical to the uninterrupted run.  The restore
+  // runs no recursion step: a solo snapshot is imported into the session's own
+  // filter; a batched one joins the live group of its config when that
+  // group's window has not slid past the iteration (a group behind it
+  // computes the iterations in between on its next cohort), and otherwise
+  // seeds a schedule at the snapshot's head in a group of its own.  Fails
+  // (kInvalidSession, reason in `status`) when the config's fingerprint or
+  // dimensions do not match the snapshot, or its recursion state lacks a
+  // matrix its flags require.
   SessionId restore_session(SessionConfig config, const SessionSnapshot& snap,
                             Status* status = nullptr);
 
@@ -163,11 +167,6 @@ class DecodeServer {
 
   unsigned workers() const { return pool_ ? pool_->size() : 0; }
 
-  // Gain-schedule cache counters (also in stats()).
-  kalman::GainScheduleCache::Stats gain_cache_stats() const {
-    return cache_.stats();
-  }
-
  private:
   // The scheduling unit: exactly one of `session` (solo) or `group` is set,
   // until removal or group erasure empties the unit.  Every field is
@@ -185,18 +184,17 @@ class DecodeServer {
   };
 
   std::shared_ptr<Session> find(SessionId id) const;
-  // Same-config sessions may share a group on this server.
-  bool batchable(const SessionConfig& config) const;
   // Admission shared by open_session (snap == nullptr) and restore_session:
-  // validate, build the Session, acquire its gain schedule, join a group
-  // (mandatory for a restore) or take a solo unit.
+  // validate, build the Session (restored: prime it, seed its schedule),
+  // join a group or take a solo unit.
   SessionId admit(SessionConfig config, const SessionSnapshot* snap,
                   Status* status);
-  // mu_ held: add the slot's session to the group for `schedule` (creating
-  // it) when that group can host a stream at schedule `iteration`.
-  bool join_group_locked(Slot& slot,
-                         std::shared_ptr<kalman::GainSchedule> schedule,
-                         std::size_t iteration);
+  // mu_ held: the registered group of `session`'s config that can host a
+  // stream whose next decode runs at `iteration`, or nullptr.
+  std::shared_ptr<Unit> live_group_locked(const Session& session,
+                                          std::size_t iteration) const;
+  // mu_ held: add the slot's session to `unit`'s group.
+  void join_group_locked(Slot& slot, std::shared_ptr<Unit> unit);
   // mu_ held: mark the unit scheduled and hand it to a worker (pool mode) or
   // the ready queue (manual mode); enqueue_locked is the hand-off alone.
   void dispatch_locked(std::shared_ptr<Unit> unit);

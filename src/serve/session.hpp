@@ -10,8 +10,14 @@
 //    eject_to_solo for a batched one — runs on at most one thread at a
 //    time.  DecodeServer guarantees this with the `scheduled` flag of the
 //    session's scheduling unit; the filter and the batch-local estimate
-//    (batch_x_, batch_iteration_, last_entry_) are never locked, so a decode
-//    step never blocks producers.
+//    (batch_x_, batch_iteration_) are never under the session mutex, so a
+//    decode step never blocks producers.
+//  * checkpoint() may run from any thread.  A solo consumer holds the
+//    session's step guard (step_mu_) across each bin — gate, filter step,
+//    bookkeeping — and checkpoint() takes the same guard while it copies
+//    the filter's recursion state, so a snapshot never sees a half-stepped
+//    filter and no decode pays for a copy.  A batched session's recursion
+//    state lives in its GainSchedule, read under the schedule's own lock.
 //
 // Both engines share one consumer path: the self-healing gate
 // (pop_gated), the recorded-decode bookkeeping (record_decode) and the
@@ -222,13 +228,11 @@ class Session {
         batch_x_(config_.filter.model.x0),
         workspace_bytes_(filter_.workspace_bytes()),
         ckpt_x_(config_.filter.model.x0),
-        // A health-gated filter's gain trajectory is measurement-dependent,
-        // so its stream can never be replayed from (config, iteration, x).
-        replayable_(!config_.filter.options.health.enabled),
         fingerprint_(config_.filter.fingerprint()) {}
 
   SessionId id() const { return id_; }
   const SessionConfig& config() const { return config_; }
+  std::uint64_t fingerprint() const { return fingerprint_; }
 
   // Producer side: enqueue one measurement bin (any thread).
   PushResult enqueue(Vector<double> z) {
@@ -237,12 +241,12 @@ class Session {
     PushResult result = PushResult::kAccepted;
     if (queue_.size() >= config_.queue_capacity) {
       if (config_.backpressure == BackpressurePolicy::kReject) {
-        ++rejected_;
+        ++counters_.rejected;
         tm.rejected.add();
         return PushResult::kRejectedFull;
       }
       queue_.pop_front();
-      ++dropped_;
+      ++counters_.dropped;
       tm.dropped.add();
       result = PushResult::kDroppedOldest;
     } else {
@@ -263,6 +267,7 @@ class Session {
     std::size_t consumed = 0;
     Vector<double> z;
     for (; consumed < max_batch; ++consumed) {
+      std::lock_guard<std::mutex> step(step_mu_);
       const GatedPop pop = pop_gated(&z);
       if (pop == GatedPop::kEmpty) break;
       if (pop == GatedPop::kDropped) continue;
@@ -326,24 +331,14 @@ class Session {
   SessionStatsSnapshot stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     SessionStatsSnapshot s;
+    static_cast<SessionCounters&>(s) = counters_;
     s.id = id_;
-    s.steps = steps_;
     s.queue_depth = queue_.size();
     s.max_backlog = max_backlog_;
-    s.deadline_misses = deadline_misses_;
-    s.rejected = rejected_;
-    s.dropped = dropped_;
-    s.discarded = discarded_;
-    s.worst_step_s = worst_step_s_;
-    s.mean_step_s = steps_ ? sum_step_s_ / double(steps_) : 0.0;
+    s.mean_step_s = s.steps ? s.sum_step_s / double(s.steps) : 0.0;
     s.workspace_bytes = workspace_bytes_;
     s.state = state_;
-    s.invalid_steps = invalid_steps_;
-    s.restarts = restarts_;
-    s.degradations = degradations_;
-    s.quarantine_dropped = quarantine_dropped_;
     s.batched = batched_;
-    s.batched_steps = batched_steps_;
     if (!latency_samples_.empty()) {
       std::vector<double> sorted = latency_samples_;
       std::sort(sorted.begin(), sorted.end());
@@ -361,13 +356,15 @@ class Session {
 
   // --- batched mode (single consumer: the owning BatchGroup) --------------
 
-  // Switch to batched decoding.  Called once at admission, before any bin
-  // is consumed, so the batch estimate is still x0 at schedule iteration 0
-  // (or whatever prime_restore() seeded); the solo filter stays constructed
-  // so eject_to_solo() can hand back a running session at any point.
-  void enable_batching() {
+  // Switch to batched decoding on `schedule`.  Called once at admission,
+  // before any bin is consumed, so the batch estimate is still x0 at
+  // schedule iteration 0 (or whatever prime_restore() seeded); the solo
+  // filter stays constructed so eject_to_solo() can hand back a running
+  // session at any point.
+  void enable_batching(std::shared_ptr<kalman::GainSchedule> schedule) {
     std::lock_guard<std::mutex> lock(mu_);
     batched_ = true;
+    schedule_ = std::move(schedule);
   }
 
   bool batched() const {
@@ -389,18 +386,18 @@ class Session {
     tm.queued_bins.add(-1.0);
     if (state_ == SessionState::kQuarantined && backoff_remaining_ == 0) {
       state_ = SessionState::kHealthy;
-      ++restarts_;
+      ++counters_.restarts;
       tm.restarts.add();
       if (telemetry::enabled()) {
         auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kRestart, id_, steps_,
-                        restarts_);
+        blackbox.record(telemetry::FlightEventKind::kRestart, id_,
+                        counters_.steps, counters_.restarts);
       }
     }
     if (state_ == SessionState::kFailed ||
         state_ == SessionState::kQuarantined) {
       if (state_ == SessionState::kQuarantined) --backoff_remaining_;
-      ++quarantine_dropped_;
+      ++counters_.quarantine_dropped;
       tm.quarantine_dropped.add();
       return GatedPop::kDropped;
     }
@@ -437,103 +434,132 @@ class Session {
     const std::size_t x_dim = batch_x_.size();
     for (std::size_t i = 0; i < x_dim; ++i) batch_x_[i] = x_new[i];
     ++batch_iteration_;
-    last_entry_ = std::move(entry);
     for (std::size_t i = 0; i < x_dim; ++i) {
       if (!std::isfinite(batch_x_[i])) {
-        record_invalid("non-finite batch state");
+        record_invalid("non-finite batch state", std::move(entry));
         return false;  // quarantine is handled by the pop gate
       }
     }
-    return record_decode(batch_x_, t0, seconds, recorder);
+    return record_decode(batch_x_, t0, seconds, recorder, std::move(entry));
   }
 
   // Leave the group (schedule window miss, or the group dissolving):
   // rebuild the solo filter on the original strategy, carrying the batch
   // estimate across — P comes from the last consumed schedule entry (P0
-  // before the first decode).  One-way: a rejoin could not be bit-exact
-  // because the strategy's interleave seeds cannot be reconstructed
-  // mid-trajectory (the same reason quarantine restarts decode from x0).
+  // before the first decode).  One-way: the schedule keeps no per-entry
+  // strategy seed, so the rebuilt strategy restarts its interleave
+  // sequence and the stream's gains leave the shared schedule for good.
   void eject_to_solo() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!batched_) return;
     // Rebuild while still marked batched so the estimate is sourced from
     // the batch state, not the stale solo filter.
-    rebuild_filter_locked(config_.filter.strategy,
-                          config_.filter.strategy_data);
+    carry_estimate_locked(config_.filter.make_filter());
     batched_ = false;
-    // The rebuilt strategy restarts its interleave sequence at 0 while the
-    // trajectory is at iteration n, so future gains leave the shared
-    // schedule — this stream can no longer be snapshot-replayed bit-exact.
-    replayable_ = false;
+    schedule_.reset();
   }
 
   // --- checkpoint / restore (serve/snapshot.hpp, docs/robustness.md) ------
 
-  // Capture the durable state of this stream: (config fingerprint, schedule
-  // iteration, x) plus health rung and stat carryovers.  Reads only the
-  // mu_-guarded checkpoint mirrors, so it is safe from any thread while a
-  // consumer is mid-step.  Fails for streams whose gain trajectory has left
-  // the shared schedule (degraded, ejected, or health-gated): those cannot
-  // be replayed bit-exact from (config, iteration, x).
-  [[nodiscard]] Status checkpoint(SessionSnapshot* out) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!replayable_)
-      return Status::Invalid(
-          "Session: stream not replayable (degraded, ejected, or "
-          "health-gated)");
-    out->config_fingerprint = fingerprint_;
-    out->iteration = ckpt_iteration_;
-    out->x.resize(ckpt_x_.size());
-    for (std::size_t i = 0; i < ckpt_x_.size(); ++i) out->x[i] = ckpt_x_[i];
-    out->health_rung = std::uint8_t(state_);
-    out->backoff_remaining = backoff_remaining_;
-    out->steps = steps_;
-    out->batched_steps = batched_steps_;
-    out->deadline_misses = deadline_misses_;
-    out->invalid_steps = invalid_steps_;
-    out->restarts = restarts_;
-    out->degradations = degradations_;
-    out->quarantine_dropped = quarantine_dropped_;
-    out->rejected = rejected_;
-    out->dropped = dropped_;
-    out->discarded = discarded_;
-    out->sum_step_s = sum_step_s_;
-    out->worst_step_s = worst_step_s_;
-    out->recorded_states = states_.size();
-    return Status::Ok();
+  // Capture the durable state of this stream: its recursion state, x,
+  // health rung, deadline-ladder streaks and stat carryovers.  Safe from
+  // any thread: a solo session's filter is read under the step guard (the
+  // consumer waits out the copy), a batched session's recursion state is
+  // its schedule's head, read under the schedule's lock (a schedule still
+  // behind a just-restored stream is extended to it first).  Every kind of
+  // stream checkpoints.
+  void checkpoint(SessionSnapshot* out) const {
+    std::lock_guard<std::mutex> step(step_mu_);
+    std::shared_ptr<kalman::GainSchedule> schedule;
+    std::shared_ptr<const kalman::GainSchedule::Entry> last;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      out->config_fingerprint = fingerprint_;
+      out->iteration = ckpt_iteration_;
+      out->x.assign(ckpt_x_.data(), ckpt_x_.data() + ckpt_x_.size());
+      static_cast<SessionCounters&>(*out) = counters_;
+      out->health_rung = std::uint8_t(state_);
+      out->backoff_remaining = backoff_remaining_;
+      out->recorded_states = states_.size();
+      out->consecutive_misses = consecutive_misses_;
+      out->consecutive_hits = consecutive_hits_;
+      if (batched_) {
+        schedule = schedule_;
+        last = last_entry_;
+      }
+    }
+    out->z_dim = config_.filter.model.z_dim();
+    out->kind = SnapshotKind::kFilter;
+    out->health = kalman::HealthState<double>{};
+    out->entries.clear();
+    const std::size_t n = std::size_t(out->iteration);
+    if (!schedule) {
+      // Solo: no consumer is inside filter_ (step guard held), and it can
+      // no longer be rebuilt by a batched consumer (batched_ was false).
+      const Vector<double>& x = filter_.state();
+      out->x.assign(x.data(), x.data() + x.size());
+      filter_.export_state(out->recursion, out->health);
+    } else if (schedule->export_head(n, out->recursion, out->entries)) {
+      out->kind = SnapshotKind::kSchedule;
+      if (n > 0) out->entries.insert(out->entries.begin(), std::move(last));
+    } else {
+      // Iteration n already slid out of the window, so the next decode
+      // ejects this stream to a fresh solo filter seeded from its last
+      // entry (eject_to_solo).  Capture that filter.
+      out->recursion = kalman::RecursionState<double>{};
+      out->recursion.p = last ? last->p_after : config_.filter.model.p0;
+    }
   }
 
   // Seed a *fresh* session (no bin consumed yet) from a snapshot: the next
-  // decode runs at schedule iteration snap.iteration from state snap.x, and
-  // every lifetime counter resumes its carried value so cluster accounting
-  // stays closed across the migration.  `entry` is the gain-schedule entry
-  // of iteration-1 (nullptr at iteration 0) — its p_after re-seeds a solo
-  // filter if the session later falls out of its batch group.  The caller
-  // (DecodeServer::restore_session) validates fingerprint and dimensions.
-  void prime_restore(const SessionSnapshot& snap,
-                     std::shared_ptr<const kalman::GainSchedule::Entry> entry) {
+  // decode runs at iteration snap.iteration from state snap.x, and every
+  // lifetime counter resumes its carried value so cluster accounting stays
+  // closed across the migration.  A kFilter snapshot is imported into the
+  // session's own filter (rebuilt on the constant gain first when the
+  // stream was degraded); a kSchedule snapshot primes the batch estimate,
+  // and the caller (DecodeServer::restore_session) attaches the schedule
+  // it seeded.  Throws std::invalid_argument when the snapshot does not
+  // match the config: fingerprint, x/z dimensions, recursion state, or
+  // schedule entries that are missing, misshapen or do not run from
+  // iteration-1 (0 at iteration 0) to the head.
+  void prime_restore(const SessionSnapshot& snap) {
+    const std::size_t first = snap.iteration > 0 ? snap.iteration - 1 : 0;
+    const std::size_t x = ckpt_x_.size();
+    const std::size_t z = config_.filter.model.z_dim();
+    auto entry_fits = [&](const auto& e) {
+      return e && e->k.rows() == x && e->k.cols() == z &&
+             e->p_after.rows() == x && e->p_after.cols() == x;
+    };
+    if (snap.config_fingerprint != fingerprint_ || snap.x.size() != x ||
+        snap.z_dim != z ||
+        (snap.kind == SnapshotKind::kSchedule &&
+         (snap.recursion.n < snap.iteration ||
+          snap.entries.size() != snap.recursion.n - first ||
+          !std::all_of(snap.entries.begin(), snap.entries.end(), entry_fits))))
+      throw std::invalid_argument("Session: snapshot does not match config");
     std::lock_guard<std::mutex> lock(mu_);
+    ckpt_x_ = Vector<double>(std::vector<double>(snap.x));
     ckpt_iteration_ = snap.iteration;
-    for (std::size_t i = 0; i < ckpt_x_.size(); ++i) ckpt_x_[i] = snap.x[i];
+    if (snap.kind == SnapshotKind::kFilter) {
+      if (SessionState(snap.health_rung) == SessionState::kDegraded) {
+        degraded_inverse_ = snap.recursion.strategy.seed;
+        filter_ = make_degraded_filter_locked();
+        degraded_ = true;
+      }
+      filter_.import_state(ckpt_x_, snap.recursion, snap.health);
+      workspace_bytes_ = filter_.workspace_bytes();
+    } else if (snap.iteration > 0) {
+      last_entry_ = snap.entries.front();  // the entry of iteration-1
+    }
     // Pre-consumption writes to the consumer-only batch state are safe: no
     // consumer exists until the server schedules this session.
     batch_x_ = ckpt_x_;
     batch_iteration_ = snap.iteration;
-    last_entry_ = std::move(entry);
+    counters_ = snap;
     state_ = SessionState(snap.health_rung);
     backoff_remaining_ = snap.backoff_remaining;
-    steps_ = snap.steps;
-    batched_steps_ = snap.batched_steps;
-    deadline_misses_ = snap.deadline_misses;
-    invalid_steps_ = snap.invalid_steps;
-    restarts_ = snap.restarts;
-    degradations_ = snap.degradations;
-    quarantine_dropped_ = snap.quarantine_dropped;
-    rejected_ = snap.rejected;
-    dropped_ = snap.dropped;
-    discarded_ = snap.discarded;
-    sum_step_s_ = snap.sum_step_s;
-    worst_step_s_ = snap.worst_step_s;
+    consecutive_misses_ = snap.consecutive_misses;
+    consecutive_hits_ = snap.consecutive_hits;
   }
 
   // Drop every queued-but-undecoded bin, counting them as discarded (the
@@ -544,7 +570,7 @@ class Session {
     const std::size_t n = queue_.size();
     if (n == 0) return 0;
     queue_.clear();
-    discarded_ += n;
+    counters_.discarded += n;
     tm.discarded.add(n);
     tm.queued_bins.add(-double(n));
     return n;
@@ -568,7 +594,7 @@ class Session {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return false;
     queue_.pop_front();
-    ++dropped_;
+    ++counters_.dropped;
     tm.dropped.add();
     tm.queued_bins.add(-1.0);
     return true;
@@ -587,7 +613,7 @@ class Session {
  private:
   std::size_t steps_done() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return steps_;
+    return counters_.steps;
   }
 
   // Status-returning decode guard: step the filter and validate the result
@@ -617,9 +643,10 @@ class Session {
   // flight event, the trajectory, the degrade ladder and the serve.step
   // span.  Returns true when the ladder degraded a batched session, which
   // must then leave its group.
-  bool record_decode(const Vector<double>& x,
-                     std::chrono::steady_clock::time_point t0, double seconds,
-                     LatencyRecorder* recorder) {
+  bool record_decode(
+      const Vector<double>& x, std::chrono::steady_clock::time_point t0,
+      double seconds, LatencyRecorder* recorder,
+      std::shared_ptr<const kalman::GainSchedule::Entry> entry = nullptr) {
     auto& tm = detail::ServeTelemetry::get();
 #if defined(KALMMIND_FAULTS)
     {
@@ -642,10 +669,10 @@ class Session {
     {
       std::lock_guard<std::mutex> lock(mu_);
       was_batched = batched_;
-      timing.kf_iteration = steps_;
-      ++steps_;
+      timing.kf_iteration = counters_.steps;
+      ++counters_.steps;
       if (batched_) {
-        ++batched_steps_;
+        ++counters_.batched_steps;
         tm.batched_steps.add();
       }
       // Checkpoint mirror: the durable (iteration, x) of this stream, kept
@@ -653,18 +680,19 @@ class Session {
       // the consumer-only filter/batch state (cheap: x_dim doubles).
       ckpt_x_ = x;
       ++ckpt_iteration_;
+      if (entry) last_entry_ = std::move(entry);
       // Sampled under the lock so stats() never reads filter_ while a
       // worker is stepping it (steady state: constant after the first step).
       workspace_bytes_ = filter_.workspace_bytes();
-      sum_step_s_ += seconds;
-      worst_step_s_ = std::max(worst_step_s_, seconds);
+      counters_.sum_step_s += seconds;
+      counters_.worst_step_s = std::max(counters_.worst_step_s, seconds);
       sample_latency_locked(seconds);
       if (!timing.meets_deadline) {
-        ++deadline_misses_;
+        ++counters_.deadline_misses;
         if (telemetry::enabled()) {
           auto& blackbox = telemetry::FlightRecorder::global();
           blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_,
-                          steps_, deadline_misses_, seconds);
+                          counters_.steps, counters_.deadline_misses, seconds);
         }
       }
       if (config_.record_trajectory) {
@@ -687,18 +715,21 @@ class Session {
   }
 
   // A decode the guard rejected is *not* recorded: no latency sample, no
-  // trajectory entry, no steps_ increment — so one blown-up stream cannot
+  // trajectory entry, no steps increment — so one blown-up stream cannot
   // pollute the server's latency percentiles.  With self-healing on, the
-  // session enters quarantine.
-  void record_invalid(const char* why) {
+  // session enters quarantine.  A batched decode still consumed `entry`.
+  void record_invalid(
+      const char* why,
+      std::shared_ptr<const kalman::GainSchedule::Entry> entry = nullptr) {
     detail::ServeTelemetry::get().invalid_steps.add();
     std::lock_guard<std::mutex> lock(mu_);
+    if (entry) last_entry_ = std::move(entry);
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_, steps_,
-                      0, 0.0, why);
+      blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_,
+                      counters_.steps, 0, 0.0, why);
     }
-    ++invalid_steps_;
+    ++counters_.invalid_steps;
     if (config_.self_healing.enabled) enter_quarantine_locked();
   }
 
@@ -709,34 +740,35 @@ class Session {
   // batched session restarts its batch estimate instead (x0, schedule
   // iteration 0) and stays in its group.
   void enter_quarantine_locked() {
-    if (restarts_ >= config_.self_healing.max_restarts) {
+    if (counters_.restarts >= config_.self_healing.max_restarts) {
       state_ = SessionState::kFailed;
       if (telemetry::enabled()) {
         // A dead stream is exactly what the black box exists for: journal
         // the transition, then dump the session's last-N events as JSONL
         // (+ trace instants) while they are still resident.
         auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kFailed, id_, steps_,
-                        restarts_);
+        blackbox.record(telemetry::FlightEventKind::kFailed, id_,
+                        counters_.steps, counters_.restarts);
         blackbox.postmortem(id_, "failed");
       }
       return;
     }
     state_ = SessionState::kQuarantined;
-    const std::size_t shift = std::min<std::size_t>(restarts_, 16);
+    const std::size_t shift = std::min<std::size_t>(counters_.restarts, 16);
     backoff_remaining_ =
         std::min(config_.self_healing.backoff_initial_bins << shift,
                  config_.self_healing.backoff_max_bins);
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kQuarantine, id_, steps_,
-                      backoff_remaining_, double(restarts_));
+      blackbox.record(telemetry::FlightEventKind::kQuarantine, id_,
+                      counters_.steps, backoff_remaining_,
+                      double(counters_.restarts));
       blackbox.postmortem(id_, "quarantine");
     }
     consecutive_misses_ = 0;
     consecutive_hits_ = 0;
     // The restart decodes from (x0, iteration 0) in both modes: mirror it
-    // so a checkpoint taken mid-quarantine replays the same restart.
+    // so a checkpoint taken mid-quarantine resumes the same restart.
     ckpt_x_ = config_.filter.model.x0;
     ckpt_iteration_ = 0;
     if (batched_) {
@@ -746,8 +778,7 @@ class Session {
       return;
     }
     if (degraded_) {
-      rebuild_filter_locked(config_.filter.strategy,
-                            config_.filter.strategy_data);
+      carry_estimate_locked(config_.filter.make_filter());
       degraded_ = false;
     }
     filter_.reset();
@@ -801,43 +832,49 @@ class Session {
         return false;
       }
     }
-    kalman::StrategySpec spec;
-    spec.kind = kalman::StrategyKind::kSskf;
-    kalman::StrategyMatrices<double> data;
-    data.preloaded_inverse = degraded_inverse_;
-    rebuild_filter_locked(spec, data);
+    carry_estimate_locked(make_degraded_filter_locked());
     batched_ = false;  // a degraded session leaves its batch group for good
-    replayable_ = false;  // the sskf trajectory is off the shared schedule
+    schedule_.reset();
     degraded_ = true;
     state_ = SessionState::kDegraded;
-    ++degradations_;
+    ++counters_.degradations;
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kDegraded, id_, steps_,
-                      degradations_);
+      blackbox.record(telemetry::FlightEventKind::kDegraded, id_,
+                      counters_.steps, counters_.degradations);
     }
     return true;
   }
 
   void restore_locked() {
-    rebuild_filter_locked(config_.filter.strategy,
-                          config_.filter.strategy_data);
+    carry_estimate_locked(config_.filter.make_filter());
     degraded_ = false;
     state_ = SessionState::kHealthy;
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kRestored, id_, steps_,
-                      config_.self_healing.recover_after_hits);
+      blackbox.record(telemetry::FlightEventKind::kRestored, id_,
+                      counters_.steps, config_.self_healing.recover_after_hits);
     }
   }
 
-  // Swap the filter's strategy by rebuilding it, carrying the current
-  // estimate across the swap (mu_ held; the single-consumer contract means
-  // no other thread can be inside filter_ or the batch state).  In batched
-  // mode the estimate comes from the batch state and the last consumed
-  // schedule entry's posterior covariance (P0 before the first decode).
-  void rebuild_filter_locked(const kalman::StrategySpec& spec,
-                             const kalman::StrategyMatrices<double>& data) {
+  // The constant steady-state gain filter of the deadline ladder ("sskf",
+  // approx 0, seeded with degraded_inverse_; mu_ held).
+  kalman::KalmanFilter<double> make_degraded_filter_locked() const {
+    kalman::StrategySpec spec;
+    spec.kind = kalman::StrategyKind::kSskf;
+    kalman::StrategyMatrices<double> data;
+    data.preloaded_inverse = degraded_inverse_;
+    return kalman::KalmanFilter<double>(
+        config_.filter.model, kalman::make_inverse_strategy<double>(spec, data),
+        config_.filter.options);
+  }
+
+  // Swap the filter (a strategy change) for `next`, carrying the current
+  // estimate across (mu_ held; the single-consumer contract means no other
+  // thread can be inside filter_ or the batch state).  In batched mode the
+  // estimate comes from the batch state and the last consumed schedule
+  // entry's posterior covariance (P0 before the first decode).
+  void carry_estimate_locked(kalman::KalmanFilter<double> next) {
     Vector<double> x;
     Matrix<double> p;
     if (batched_) {
@@ -847,9 +884,7 @@ class Session {
       x = filter_.state();
       p = filter_.covariance();
     }
-    filter_ = kalman::KalmanFilter<double>(
-        config_.filter.model, kalman::make_inverse_strategy<double>(spec, data),
-        config_.filter.options);
+    filter_ = std::move(next);
     filter_.set_state(std::move(x), std::move(p));
     workspace_bytes_ = filter_.workspace_bytes();
   }
@@ -859,46 +894,40 @@ class Session {
   kalman::KalmanFilter<double> filter_;  // stepped by the scheduled worker
 
   // Batched-mode estimate, touched only by the owning BatchGroup's single
-  // consumer (same contract as filter_): the decoded state, the schedule
-  // iteration of the next decode, and the last consumed schedule entry
-  // (its p_after re-seeds the solo filter on fall-out).
+  // consumer (same contract as filter_): the decoded state and the
+  // schedule iteration of the next decode.
   Vector<double> batch_x_;
   std::size_t batch_iteration_ = 0;
-  std::shared_ptr<const kalman::GainSchedule::Entry> last_entry_;
+
+  // Held by a solo consumer across each bin and by checkpoint() across its
+  // copy of filter_ (see the concurrency contract).  Taken before mu_.
+  mutable std::mutex step_mu_;
 
   mutable std::mutex mu_;  // guards everything below
   std::size_t workspace_bytes_ = 0;  // last sampled filter_.workspace_bytes()
   // Checkpoint mirrors (serve/snapshot.hpp): the durable (iteration, x)
   // duplicated under mu_ so checkpoint() never races the consumer-only
-  // filter/batch state.  Updated in the recorded-step bookkeeping sections
-  // and on quarantine restarts.
+  // batch state.  Updated in the recorded-step bookkeeping sections and on
+  // quarantine restarts.
   Vector<double> ckpt_x_;
   std::size_t ckpt_iteration_ = 0;
-  bool replayable_;          // gains still on the shared schedule trajectory
+  // Batched mode: the schedule the group decodes from, and the last
+  // consumed entry (its p_after re-seeds the solo filter on fall-out).
+  std::shared_ptr<kalman::GainSchedule> schedule_;
+  std::shared_ptr<const kalman::GainSchedule::Entry> last_entry_;
   const std::uint64_t fingerprint_;  // config_.filter.fingerprint()
-  std::size_t discarded_ = 0;        // queued bins dropped at close/teardown
+  SessionCounters counters_;         // lifetime counters (stats, snapshots)
   std::deque<Vector<double>> queue_;
   std::vector<Vector<double>> states_;
   std::vector<core::IterationTiming> timings_;
-  std::size_t steps_ = 0;
-  std::size_t batched_steps_ = 0;  // subset of steps_ decoded in a group
   bool batched_ = false;           // currently owned by a BatchGroup
   std::size_t max_backlog_ = 0;
-  std::size_t deadline_misses_ = 0;
-  std::size_t rejected_ = 0;
-  std::size_t dropped_ = 0;
-  double worst_step_s_ = 0.0;
-  double sum_step_s_ = 0.0;
   static constexpr std::size_t kLatencySampleCap = 512;
   std::vector<double> latency_samples_;  // bounded sample for SLO rollups
   std::uint64_t latency_lcg_ = 0x9e3779b97f4a7c15ull;
   // Self-healing state machine (docs/robustness.md), all under mu_.
   SessionState state_ = SessionState::kHealthy;
   std::size_t backoff_remaining_ = 0;   // bins left to drop in quarantine
-  std::size_t restarts_ = 0;
-  std::size_t degradations_ = 0;
-  std::size_t invalid_steps_ = 0;
-  std::size_t quarantine_dropped_ = 0;
   std::size_t consecutive_misses_ = 0;
   std::size_t consecutive_hits_ = 0;
   bool degraded_ = false;

@@ -113,28 +113,34 @@ class LatencyRecorder {
   telemetry::Histogram& histogram_;
 };
 
-// Point-in-time view of one session.
-struct SessionStatsSnapshot {
-  SessionId id = 0;
+// A session's lifetime counters: reported by SessionStatsSnapshot, and
+// carried across migrations by SessionSnapshot so cluster accounting stays
+// closed (decoded + discarded + rejected == submitted).
+struct SessionCounters {
   std::size_t steps = 0;            // measurements decoded so far
-  std::size_t queue_depth = 0;      // bins waiting right now
-  std::size_t max_backlog = 0;      // worst queue depth observed
+  std::size_t batched_steps = 0;    // subset of steps decoded in a BatchGroup
   std::size_t deadline_misses = 0;  // steps slower than the session deadline
   std::size_t rejected = 0;         // submits bounced by kReject backpressure
   std::size_t dropped = 0;          // bins evicted by kDropOldest
   std::size_t discarded = 0;        // queued bins dropped at close/teardown
-  double worst_step_s = 0.0;
-  double mean_step_s = 0.0;
-  std::size_t workspace_bytes = 0;  // filter step-workspace heap bytes
   // Self-healing (docs/robustness.md).
-  SessionState state = SessionState::kHealthy;
   std::size_t invalid_steps = 0;       // diverged decodes caught by the guard
   std::size_t restarts = 0;            // quarantine restarts performed
   std::size_t degradations = 0;        // strategy downgrades performed
   std::size_t quarantine_dropped = 0;  // bins consumed while not decoding
-  // Batched serving (docs/serving.md).
-  bool batched = false;                // currently decoding in a BatchGroup
-  std::size_t batched_steps = 0;       // subset of steps decoded batched
+  double sum_step_s = 0.0;             // summed decode wall time
+  double worst_step_s = 0.0;
+};
+
+// Point-in-time view of one session.
+struct SessionStatsSnapshot : SessionCounters {
+  SessionId id = 0;
+  std::size_t queue_depth = 0;      // bins waiting right now
+  std::size_t max_backlog = 0;      // worst queue depth observed
+  double mean_step_s = 0.0;
+  std::size_t workspace_bytes = 0;  // filter step-workspace heap bytes
+  SessionState state = SessionState::kHealthy;
+  bool batched = false;             // currently decoding in a BatchGroup
   // SLO rollup (docs/observability.md): step-latency percentiles over a
   // bounded per-session sample, computed with telemetry::percentile.
   double p50_step_s = 0.0;

@@ -319,7 +319,7 @@ class HandSteppedSession {
     if (!batching) return;
     group_ = std::make_unique<BatchGroup>(
         std::make_shared<kalman::GainSchedule>(cfg.filter));
-    session_->enable_batching();
+    session_->enable_batching(group_->schedule());
     group_->add(session_);
   }
 
