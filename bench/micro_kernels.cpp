@@ -18,6 +18,7 @@
 // type and the dispatch resolution the numbers were taken under.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -242,6 +243,41 @@ void BM_FilterStepHealthOff(benchmark::State& state) {
   bench_filter_step_health(state, /*health_on=*/false);
 }
 BENCHMARK(BM_FilterStepHealthOff)->Arg(46)->Arg(164);
+
+// ---- the arrival path: a step whose gain was prepared ahead ----
+
+// What a serving bin pays once the worker precomputed its gain in idle
+// time (KalmanFilter::prepare_next, docs/serving.md): only the arrival
+// path — x' = F x, the gated correction, the post-step health checks and
+// the O(1) commit of the prepared P and seed — is timed; the prepare runs
+// untimed before each bin.  Compare with BM_FilterStepHealthOn, the same
+// filter and strategy computing the whole step on arrival.
+void BM_FilterArrivalPath(benchmark::State& state) {
+  const std::size_t z_dim = std::size_t(state.range(0));
+  const auto model = bench_model(6, z_dim);
+  Rng rng(11);
+  const auto z = random_vector<double>(z_dim, rng);
+  kalmmind::kalman::FilterOptions opts;
+  opts.health.enabled = true;
+  const auto spec = kalmmind::kalman::StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=3,approx=2,policy=1)");
+  kalmmind::kalman::KalmanFilter<double> filter(
+      model, kalmmind::kalman::make_inverse_strategy<double>(spec), opts);
+  for (auto _ : state) {
+    filter.prepare_next();
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto& x = filter.step(z);
+    benchmark::DoNotOptimize(x.data());
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+  }
+}
+BENCHMARK(BM_FilterArrivalPath)
+    ->Arg(46)
+    ->Arg(164)
+    ->UseManualTime()
+    ->Iterations(2000);  // each one also runs an untimed prepare
 
 // ---- flight-recorder overhead on the clean path ----
 

@@ -147,11 +147,13 @@ class TaylorStrategy final : public InverseStrategy<T> {
     s0_ = Matrix<T>();
     v0_ = Matrix<T>();
     last_event_ = {};
+    staged_ = false;
   }
 
   void export_state(StrategyState<T>& out) const override {
     out = StrategyState<T>{};
-    out.seed_ready = anchored_;
+    out.seed_ready = staged_ ? anchored_before_stage_ : anchored_;
+    if (!out.seed_ready) return;
     out.seed = v0_;
     out.anchor = s0_;
   }
@@ -167,6 +169,20 @@ class TaylorStrategy final : public InverseStrategy<T> {
     s0_ = state.anchor;
   }
 
+  // Only the anchoring inversion changes state; a drop() un-anchors it.
+  void stage() override {
+    staged_ = true;
+    anchored_before_stage_ = anchored_;
+    event_before_stage_ = last_event_;
+  }
+  void commit(Matrix<T>& /*out*/) override { staged_ = false; }
+  void drop() override {
+    if (!staged_) return;
+    anchored_ = anchored_before_stage_;
+    last_event_ = event_before_stage_;
+    staged_ = false;
+  }
+
  private:
   std::size_t order_;
   bool anchored_ = false;
@@ -174,6 +190,9 @@ class TaylorStrategy final : public InverseStrategy<T> {
   Matrix<T> v0_;
   TaylorWorkspace<T> ws_;
   InverseEvent last_event_;
+  bool staged_ = false;  // see InverseStrategy::stage
+  bool anchored_before_stage_ = false;
+  InverseEvent event_before_stage_;
 };
 
 // The IFKF assumes minimal cross-correlation between measurements: the

@@ -60,6 +60,9 @@ class CountedStrategy final : public InverseStrategy<T> {
   void import_state(const StrategyState<T>& state) override {
     inner_->import_state(state);
   }
+  void stage() override { inner_->stage(); }
+  void commit(Matrix<T>& out) override { inner_->commit(out); }
+  void drop() override { inner_->drop(); }
 
  private:
   InverseStrategyPtr<T> inner_;

@@ -160,6 +160,7 @@ class KalmanFilter {
   }
 
   void reset() {
+    drop_prepared();
     x_ = model_.x0;
     x_pred_ = model_.x0;
     recursion_.reset(model_);
@@ -168,23 +169,37 @@ class KalmanFilter {
   }
 
   // One KF iteration with measurement z; returns the new state estimate.
-  // All temporaries live in the recursion and correction workspaces: after
-  // the first step this performs zero heap allocations
-  // (tests/kalman/workspace_test.cpp).
+  // Uses the half prepare_next() computed ahead when there is one, else
+  // computes it now: the same kernels run in the same order either way, so
+  // the result is bit-identical.  All temporaries live in the recursion and
+  // correction workspaces: after the first step this performs zero heap
+  // allocations (tests/kalman/workspace_test.cpp).
   const Vector<T>& step(const Vector<T>& z) KALMMIND_REALTIME {
     if (z.size() != model_.z_dim()) {
       // kalmmind-lint: allow(RT3) shape-mismatch is a caller bug, not a runtime condition; it aborts the step before any filter state mutates
       throw std::invalid_argument("KalmanFilter::step: bad measurement size");
     }
-    if (health_.enabled()) {
-      health_.begin_step();
-      if (health_.fallback_active()) return fallback_step(z);
-      if (!health_.measurement_ok(z)) return predict_only_step();
-    }
+    // A bin the health monitor will skip needs no gain.
+    if (!health_.enabled() || detail::vector_finite(z)) prepare_next();
+    return correct(z);
+  }
+
+  // The measurement-independent half of the next step, run before its bin
+  // arrives (PAPER.md pillar 1: P', S, S^-1 and K never read z): P', S,
+  // S^-1 with the Newton probe check and its same-step repair, K, and the
+  // next P.  Nothing the filter reports changes — state(), covariance(),
+  // health() and export_state() still describe the last step — until
+  // step() consumes the half, or a skipped measurement or a mutator drops
+  // it (the strategy's seed update is only committed on consumption).  A
+  // no-op when a half is already prepared or the SSKF fallback is engaged
+  // (its steps run no recursion).
+  void prepare_next() {
+    if (prepared_ || health_.fallback_active()) return;
     const std::uint64_t allocs_before = linalg::thread_buffer_allocations();
+    recursion_.stage();
+    health_.defer_notes(true);
     {
       telemetry::Span span("kf.predict", "kf");
-      linalg::multiply_into(x_pred_, model_.f, x_);
       recursion_.predict(model_);
     }
 
@@ -219,36 +234,26 @@ class KalmanFilter {
                         "\"newton_iterations\":" +
                             std::to_string(inv_event.newton_iterations));
       }
-      count_step(inv_event);
+      prepared_event_ = inv_event;
       recursion_.compute_k();
-    }
-
-    {
-      telemetry::Span span("kf.update", "kf");
-      correction_.apply(x_, x_pred_, model_.h, recursion_.k(), z,
-                        [this](Vector<T>& innovation) {
-                          if (health_.enabled()) {
-                            health_.gate_innovation(innovation,
-                                                    recursion_.s());
-                          }
-                        });
       recursion_.update_covariance(model_);
     }
+    health_.defer_notes(false);
+    prepared_ = true;
+    count_allocations(allocs_before);
+  }
 
-    if (health_.enabled()) {
-      health_.post_step(x_, recursion_.p(), model_, recursion_.strategy());
-    }
+  // Whether a prepare_next() half is waiting for its bin.
+  bool prepared() const { return prepared_; }
 
-    if (telemetry::enabled()) {
-      // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state steps only touch the returned counters' atomics
-      detail::FilterTelemetry::get().step_allocations.add(
-          linalg::thread_buffer_allocations() - allocs_before);
-      // kalmmind-lint: allow(RT1,RT2) gauge registration happens on the first report only; later reports store to the cached handle's atomic
-      ws_reporter_.report(workspace_bytes());
-    }
-
-    recursion_.advance();
-    return x_;
+  // Throw a prepared half away: the filter is exactly as if prepare_next()
+  // had never run.  Returns whether there was one.
+  bool drop_prepared() {
+    if (!prepared_) return false;
+    recursion_.drop();
+    health_.discard_deferred();
+    prepared_ = false;
+    return true;
   }
 
   // Run the filter over a measurement sequence from the initial state.
@@ -276,6 +281,7 @@ class KalmanFilter {
       throw std::invalid_argument(
           "update_observation_model: shape mismatch");
     }
+    drop_prepared();  // its S and K were computed from the old H and R
     model_.h = std::move(h);
     model_.r = std::move(r);
   }
@@ -287,6 +293,7 @@ class KalmanFilter {
         p.cols() != model_.x_dim()) {
       throw std::invalid_argument("KalmanFilter::set_state: shape mismatch");
     }
+    drop_prepared();
     x_ = std::move(x);
     x_pred_ = x_;
     recursion_.p() = std::move(p);
@@ -294,7 +301,10 @@ class KalmanFilter {
 
   // State transfer (serve/snapshot.hpp): the recursion state and the
   // health monitor's ladder state.  A filter built from the same config
-  // that imports them together with state() continues bit for bit.
+  // that imports them together with state() continues bit for bit.  A
+  // prepared half is neither exported nor disturbed: the state is that of
+  // the last step, with its P and the strategy's seed from before the
+  // prepare.
   void export_state(RecursionState<T>& recursion,
                     HealthState<T>& health) const {
     recursion_.export_state(recursion);
@@ -318,6 +328,7 @@ class KalmanFilter {
     if (x.size() != xd || !gain_fits || !last_good_fits) {
       throw std::invalid_argument("KalmanFilter::import_state: shape mismatch");
     }
+    drop_prepared();
     recursion_.import_state(recursion);
     health_.import_state(health);
     x_ = x;
@@ -348,11 +359,54 @@ class KalmanFilter {
   }
 
  private:
+  // The arrival path: everything of a step that reads z or x, on top of
+  // the prepared half (prepare_next() ran, unless the health monitor is
+  // about to skip z or the SSKF fallback is engaged).  O(x z) work: the
+  // prediction x' = F x, the correction with its innovation gate, the
+  // checks of the step's result, and committing the prepared P and seed.
+  const Vector<T>& correct(const Vector<T>& z) KALMMIND_REALTIME {
+    if (health_.enabled()) {
+      health_.begin_step();
+      if (health_.fallback_active()) return fallback_step(z);
+      if (!health_.measurement_ok(z)) return predict_only_step();
+      health_.apply_deferred();
+    }
+    const std::uint64_t allocs_before = linalg::thread_buffer_allocations();
+    {
+      telemetry::Span span("kf.update", "kf");
+      linalg::multiply_into(x_pred_, model_.f, x_);
+      correction_.apply(x_, x_pred_, model_.h, recursion_.k(), z,
+                        [this](Vector<T>& innovation) {
+                          if (health_.enabled()) {
+                            health_.gate_innovation(innovation,
+                                                    recursion_.s());
+                          }
+                        });
+    }
+    recursion_.commit();
+    prepared_ = false;
+    count_step(prepared_event_);
+
+    if (health_.enabled()) {
+      health_.post_step(x_, recursion_.p(), model_, recursion_.strategy());
+    }
+
+    count_allocations(allocs_before);
+    if (telemetry::enabled()) {
+      // kalmmind-lint: allow(RT1,RT2) gauge registration happens on the first report only; later reports store to the cached handle's atomic
+      ws_reporter_.report(workspace_bytes());
+    }
+
+    recursion_.advance();
+    return x_;
+  }
+
   // Non-finite measurement: propagate the prior only.  The prediction is
-  // still health-checked — an unstable F can blow it up on its own.
+  // still health-checked — an unstable F can blow it up on its own.  A
+  // prepared half already holds P' = F P F^t + Q; its gain is dropped.
   const Vector<T>& predict_only_step() {
     linalg::multiply_into(x_pred_, model_.f, x_);
-    recursion_.predict(model_);
+    if (!drop_prepared()) recursion_.predict(model_);
     x_ = x_pred_;
     recursion_.p() = recursion_.p_pred();
     health_.post_step(x_, recursion_.p(), model_, recursion_.strategy());
@@ -374,6 +428,15 @@ class KalmanFilter {
     count_step({InversePath::kNone, 0});
     recursion_.advance();
     return x_;
+  }
+
+  // Heap buffers the linalg sizing paths acquired since `before`, into
+  // kalmmind.kf.step_allocations_total.
+  void count_allocations(std::uint64_t before) {
+    if (!telemetry::enabled()) return;
+    // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state steps only touch the returned counters' atomics
+    detail::FilterTelemetry::get().step_allocations.add(
+        linalg::thread_buffer_allocations() - before);
   }
 
   // Record the inversion path this step took and count the step into the
@@ -400,6 +463,9 @@ class KalmanFilter {
   detail::WorkspaceBytesReporter ws_reporter_;
   NumericalHealthMonitor<T> health_;
   InverseEvent last_inverse_event_;
+  // A prepare_next() half is waiting for its bin; the inversion path it took.
+  bool prepared_ = false;
+  InverseEvent prepared_event_;
 };
 
 }  // namespace kalmmind::kalman

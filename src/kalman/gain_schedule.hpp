@@ -54,11 +54,14 @@ class GainSchedule {
     InverseEvent event;      // inversion path that produced S^-1_n
   };
 
-  // Precondition: config.check().ok().
+  // Precondition: config.check().ok().  `fingerprint` must be
+  // config.fingerprint(); pass it when already known (hashing a z=164 model
+  // costs ~0.3 ms), 0 computes it.
   explicit GainSchedule(FilterConfig<double> config,
-                        std::size_t window = kDefaultWindow)
+                        std::size_t window = kDefaultWindow,
+                        std::uint64_t fingerprint = 0)
       : config_(std::move(config)),
-        fingerprint_(config_.fingerprint()),
+        fingerprint_(fingerprint ? fingerprint : config_.fingerprint()),
         window_(window == 0 ? 1 : window),
         recursion_(config_.model, config_.make_strategy(),
                    config_.options.joseph_update) {}
@@ -102,9 +105,11 @@ class GainSchedule {
 
   // The entry for iteration n, extending the schedule as needed.  Returns
   // nullptr when n has already slid out of the window (never for n ahead
-  // of the window — those are computed on demand).
-  std::shared_ptr<const Entry> at(std::size_t n) {
+  // of the window — those are computed on demand).  `precomputed`, if
+  // given, is set to whether n was computed before this call.
+  std::shared_ptr<const Entry> at(std::size_t n, bool* precomputed = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
+    if (precomputed) *precomputed = recursion_.iteration() > n;
     while (recursion_.iteration() <= n) advance_locked();
     if (n < base_) return nullptr;
     return window_entries_[n - base_];
@@ -189,10 +194,14 @@ class GainScheduleCache {
   // The schedule for `config`, building (miss) or sharing (hit) as needed.
   // Returns nullptr only on a verified fingerprint collision with a
   // resident different config — callers treat that as "don't batch".
-  // Precondition: config.check().ok().
-  std::shared_ptr<GainSchedule> acquire(const FilterConfig<double>& config) {
+  // Precondition: config.check().ok(); `fingerprint`, when non-zero, is
+  // config.fingerprint() (a caller that already holds it saves the hash).
+  std::shared_ptr<GainSchedule> acquire(const FilterConfig<double>& config,
+                                        std::uint64_t fingerprint = 0) {
     auto& tm = telemetry_();
-    std::uint64_t key = config.fingerprint();
+    const std::uint64_t real_key =
+        fingerprint ? fingerprint : config.fingerprint();
+    std::uint64_t key = real_key;
     std::lock_guard<std::mutex> lock(mu_);
 #if defined(KALMMIND_FAULTS)
     // Collision injection (docs/robustness.md): force every acquire onto
@@ -242,7 +251,7 @@ class GainScheduleCache {
                              victim);
       }
     }
-    auto schedule = std::make_shared<GainSchedule>(config, window_);
+    auto schedule = std::make_shared<GainSchedule>(config, window_, real_key);
     lru_.push_front(key);
     map_.emplace(key, Node{schedule, lru_.begin()});
     return schedule;

@@ -243,6 +243,7 @@ class NumericalHealthMonitor {
     consecutive_healthy_ = 0;
     has_last_good_ = false;
     fallback_gain_ = Matrix<T>();
+    discard_deferred();
   }
 
   void export_state(HealthState<T>& out) const {
@@ -254,6 +255,7 @@ class NumericalHealthMonitor {
   }
 
   void import_state(const HealthState<T>& state) {
+    discard_deferred();
     stats_ = state.stats;
     consecutive_healthy_ = state.consecutive_healthy;
     has_last_good_ = state.has_last_good;
@@ -263,6 +265,30 @@ class NumericalHealthMonitor {
 
   // Called once per step before any check records into last_faults.
   void begin_step() { stats_.last_faults = 0; }
+
+  // Deferred notes (KalmanFilter::prepare_next).  While deferring, the
+  // Newton probe's fault and its forced-calculation repair are held back
+  // instead of recorded: they belong to a step whose bin has not arrived.
+  // apply_deferred() records them, in order, once that step begins with a
+  // usable measurement; discard_deferred() forgets them when the step skips
+  // its measurement (or the prepared half is dropped otherwise), exactly as
+  // if the probe had never run.
+  void defer_notes(bool on) { deferring_ = on; }
+  void apply_deferred() {
+    for (unsigned bit = 1; deferred_faults_ != 0; bit <<= 1) {
+      if ((deferred_faults_ & bit) == 0) continue;
+      deferred_faults_ &= ~bit;
+      note_fault(static_cast<HealthFault>(bit));
+    }
+    if (deferred_forced_calculation_) {
+      deferred_forced_calculation_ = false;
+      note_recovery(RecoveryAction::kForceCalculation);
+    }
+  }
+  void discard_deferred() {
+    deferred_faults_ = 0;
+    deferred_forced_calculation_ = false;
+  }
 
   // Pre-update: false means z is unusable (NaN/Inf) and the caller must run
   // a predict-only step.  Counted as the skip_measurement recovery.
@@ -304,6 +330,10 @@ class NumericalHealthMonitor {
   // The caller repaired a bad approximation by re-inverting on the
   // calculation path within the same step.
   void note_forced_calculation() {
+    if (deferring_) {
+      deferred_forced_calculation_ = true;
+      return;
+    }
     note_recovery(RecoveryAction::kForceCalculation);
   }
 
@@ -394,6 +424,10 @@ class NumericalHealthMonitor {
 
  private:
   void note_fault(HealthFault f) {
+    if (deferring_) {
+      deferred_faults_ |= static_cast<unsigned>(f);
+      return;
+    }
     if ((stats_.last_faults & static_cast<unsigned>(f)) == 0) {
       stats_.last_faults |= static_cast<unsigned>(f);
       if (telemetry::enabled()) {
@@ -545,6 +579,10 @@ class NumericalHealthMonitor {
   Vector<T> last_good_x_;
   Matrix<T> fallback_gain_;
   Vector<T> probe_u_, probe_w_, probe_t_;
+  // Notes held back while deferring (see defer_notes).
+  bool deferring_ = false;
+  unsigned deferred_faults_ = 0;
+  bool deferred_forced_calculation_ = false;
 };
 
 }  // namespace kalmmind::kalman

@@ -55,9 +55,9 @@ class InterleavedStrategy final : public InverseStrategy<T> {
 
   void invert_into(Matrix<T>& out, const Matrix<T>& s,
                    std::size_t kf_iteration) KALMMIND_REALTIME override {
-    if (force_calculation_ || config_.is_calculation_iteration(kf_iteration) ||
-        !seed_ready_) {
-      force_calculation_ = false;
+    if (flags_.force_calculation ||
+        config_.is_calculation_iteration(kf_iteration) || !flags_.seed_ready) {
+      flags_.force_calculation = false;
       // Path A.  (The very first invert must calculate even if the
       // schedule says otherwise — there is no seed yet.)  A singular (or
       // NaN-poisoned) S yields a NaN inverse rather than an exception —
@@ -76,46 +76,35 @@ class InterleavedStrategy final : public InverseStrategy<T> {
         out.fill(linalg::ScalarTraits<T>::from_double(
             std::numeric_limits<double>::quiet_NaN()));
       }
-      last_calculated_ = out;  // copy-assign: reuses seed buffers in steady
-      previous_ = out;         // state, so no per-step allocation
-      seed_ready_ = true;
+      flags_.seed_ready = true;
       last_event_ = {InversePath::kCalculation, 0};
+      keep_as_seed(out);  // a calculated inverse seeds either policy
       return;
     }
-    // Path B: Newton from the policy-selected seed.
-    const Matrix<T>& seed = config_.policy == SeedPolicy::kPreviousIteration
-                                ? previous_
-                                : last_calculated_;
-    linalg::newton_invert_into(out, s, seed, config_.approx, ws_);
-    previous_ = out;
+    // Path B: Newton from the policy-selected seed.  Under policy 0 the
+    // approximation never becomes a seed.
+    linalg::newton_invert_into(out, s, seed_, config_.approx, ws_);
     last_event_ = {InversePath::kApproximation, config_.approx};
+    if (config_.policy == SeedPolicy::kPreviousIteration) keep_as_seed(out);
   }
 
   InverseEvent last_event() const override { return last_event_; }
 
   void reset() override {
-    seed_ready_ = false;
-    force_calculation_ = false;
+    flags_ = {};
     config_ = initial_config_;  // undo harden_seed_policy()
-    last_calculated_ = Matrix<T>();
-    previous_ = Matrix<T>();
+    seed_ = Matrix<T>();
     last_event_ = {};
+    staged_ = false;
+    seed_owed_ = false;
   }
 
-  // The policy-selected seed is the only one path B reads: under policy 1
-  // last_calculated_ is write-only, and hardening to policy 0 always comes
-  // with a forced calculation that rewrites both seeds before any read.
   void export_state(StrategyState<T>& out) const override {
-    out.seed_ready = seed_ready_;
-    out.force_calculation = force_calculation_;
+    const Flags& flags = staged_ ? before_stage_ : flags_;
+    out.seed_ready = flags.seed_ready;
+    out.force_calculation = flags.force_calculation;
     out.hardened = config_.policy != initial_config_.policy;
-    if (seed_ready_) {
-      out.seed = config_.policy == SeedPolicy::kPreviousIteration
-                     ? previous_
-                     : last_calculated_;
-    } else {
-      out.seed = Matrix<T>();
-    }
+    out.seed = flags.seed_ready ? seed_ : Matrix<T>();
     out.anchor = Matrix<T>();
   }
 
@@ -125,40 +114,84 @@ class InterleavedStrategy final : public InverseStrategy<T> {
     }
     reset();
     if (state.hardened) config_.policy = SeedPolicy::kLastCalculated;
-    force_calculation_ = state.force_calculation;
-    seed_ready_ = state.seed_ready;
-    if (seed_ready_) {
-      last_calculated_ = state.seed;
-      previous_ = state.seed;
-    }
+    flags_.force_calculation = state.force_calculation;
+    flags_.seed_ready = state.seed_ready;
+    if (flags_.seed_ready) seed_ = state.seed;
   }
 
   // Recovery hooks: the health ladder forces the next inversion onto the
   // calculation path / pins the seed to the last-calculated inverse (both
   // sticky until reset()).
   bool request_calculation() override {
-    force_calculation_ = true;
+    flags_.force_calculation = true;
     return true;
   }
 
+  // The one seed buffer holds whatever the current policy reads, so
+  // leaving policy 1 also forces a calculation: the next approximation
+  // then starts from a calculated inverse, as policy 0 requires.
   bool harden_seed_policy() override {
-    config_.policy = SeedPolicy::kLastCalculated;
+    if (config_.policy != SeedPolicy::kLastCalculated) {
+      config_.policy = SeedPolicy::kLastCalculated;
+      flags_.force_calculation = true;
+    }
     return true;
+  }
+
+  void stage() override {
+    before_stage_ = flags_;
+    event_before_stage_ = last_event_;
+    staged_ = true;
+    seed_owed_ = false;
+  }
+
+  void commit(Matrix<T>& out) override {
+    if (seed_owed_) take_seed(seed_, out);
+    staged_ = false;
+    seed_owed_ = false;
+  }
+
+  void drop() override {
+    if (!staged_) return;
+    flags_ = before_stage_;
+    last_event_ = event_before_stage_;
+    staged_ = false;
+    seed_owed_ = false;
   }
 
   const InterleaveConfig& config() const { return config_; }
   CalcMethod calc_method() const { return calc_method_; }
 
  private:
+  struct Flags {
+    bool seed_ready = false;
+    bool force_calculation = false;
+  };
+
+  void keep_as_seed(const Matrix<T>& out) {
+    if (staged_) {
+      seed_owed_ = true;
+    } else {
+      seed_ = out;  // copy-assign: reuses the seed buffer in steady state
+    }
+  }
+
   CalcMethod calc_method_;
   InterleaveConfig config_;
   InterleaveConfig initial_config_;
-  bool seed_ready_ = false;
-  bool force_calculation_ = false;
-  Matrix<T> last_calculated_;  // S_j^-1, eq. (5) seed
-  Matrix<T> previous_;         // S_{n-1}^-1, eq. (4) seed
+  Flags flags_;
+  // The inverse path B starts from: S_j^-1 of the last calculation under
+  // policy 0 (eq. 5), S_{n-1}^-1 under policy 1 (eq. 4).  One buffer for
+  // both, since a policy only ever reads its own seed.
+  Matrix<T> seed_;
   linalg::NewtonWorkspace<T> ws_;
   InverseEvent last_event_;
+  // Staged inversion (see InverseStrategy::stage): what drop() restores,
+  // and whether commit() owes the seed an inverse.
+  bool staged_ = false;
+  bool seed_owed_ = false;
+  Flags before_stage_;
+  InverseEvent event_before_stage_;
 };
 
 // The LITE datapath of Table III: Newton with exactly one internal
@@ -174,14 +207,22 @@ class LiteStrategy final : public InverseStrategy<T> {
   void invert_into(Matrix<T>& out, const Matrix<T>& s,
                    std::size_t /*kf_iteration*/) override {
     linalg::newton_invert_into(out, s, previous_, 1, ws_);
-    previous_ = out;
+    if (staged_) {
+      seed_owed_ = true;
+    } else {
+      previous_ = out;
+    }
   }
 
   InverseEvent last_event() const override {
     return {InversePath::kApproximation, 1};
   }
 
-  void reset() override { previous_ = initial_seed_; }
+  void reset() override {
+    previous_ = initial_seed_;
+    staged_ = false;
+    seed_owed_ = false;
+  }
 
   void export_state(StrategyState<T>& out) const override {
     out = StrategyState<T>{};
@@ -193,12 +234,30 @@ class LiteStrategy final : public InverseStrategy<T> {
       throw std::invalid_argument("LiteStrategy: no seed to import");
     }
     previous_ = state.seed;
+    staged_ = false;
+    seed_owed_ = false;
+  }
+
+  void stage() override {
+    staged_ = true;
+    seed_owed_ = false;
+  }
+  void commit(Matrix<T>& out) override {
+    if (seed_owed_) take_seed(previous_, out);
+    staged_ = false;
+    seed_owed_ = false;
+  }
+  void drop() override {
+    staged_ = false;
+    seed_owed_ = false;
   }
 
  private:
   Matrix<T> initial_seed_;
   Matrix<T> previous_;
   linalg::NewtonWorkspace<T> ws_;
+  bool staged_ = false;     // see InverseStrategy::stage
+  bool seed_owed_ = false;  // commit() hands `out` to previous_
 };
 
 // The SSKF/Newton datapath: a constant S_const^-1 (precomputed from the

@@ -11,7 +11,9 @@
 // and health checks; GainSchedule, solve_steady_state and the accelerator's
 // LITE seed drive it directly.  All of them therefore run the same kernels
 // in the same order, which is what makes a schedule entry equal a solo
-// filter's K and P bit for bit.
+// filter's K and P bit for bit.  The next P is written beside the current
+// one and only replaces it at commit(), so KalmanFilter can run the phases
+// ahead of the measurement (stage() first) and still drop them.
 //
 // StateCorrection is the measurement half: x = x' + K (z - H x').
 //
@@ -67,6 +69,7 @@ class GainRecursion {
     k_.resize_for_overwrite(x, z);
     kh_.resize_for_overwrite(x, x);
     i_minus_kh_.resize_for_overwrite(x, x);
+    p_next_.resize_for_overwrite(x, x);
     if (joseph_) {
       joseph_tmp_.resize_for_overwrite(x, x);
       kr_.resize_for_overwrite(x, z);
@@ -110,22 +113,35 @@ class GainRecursion {
     linalg::multiply_into(k_, pht_, s_inv_);
   }
 
-  // P = (I - K H) P', or the Joseph form
+  // The next P = (I - K H) P', or the Joseph form
   //   P = (I - K H) P' (I - K H)^t + K R K^t
-  // which keeps P positive semidefinite for any gain.
+  // which keeps P positive semidefinite for any gain.  P itself changes at
+  // commit().
   void update_covariance(const KalmanModel<T>& m) {
     linalg::multiply_into(kh_, k_, m.h);
     linalg::identity_minus_into(i_minus_kh_, kh_);
     if (joseph_) {
       linalg::multiply_into(joseph_tmp_, i_minus_kh_, p_pred_);
-      linalg::multiply_bt_into(p_, joseph_tmp_, i_minus_kh_);
+      linalg::multiply_bt_into(p_next_, joseph_tmp_, i_minus_kh_);
       linalg::multiply_into(kr_, k_, m.r);
       linalg::multiply_bt_into(krk_, kr_, k_);
-      p_ += krk_;
+      p_next_ += krk_;
     } else {
-      linalg::multiply_into(p_, i_minus_kh_, p_pred_);
+      linalg::multiply_into(p_next_, i_minus_kh_, p_pred_);
     }
   }
+
+  // Staged phases (KalmanFilter::prepare_next): after stage(), the phases
+  // above leave P and the strategy's seed as they were until commit()
+  // makes the iteration's P and inverse current, or drop() forgets them.
+  // Both are O(1): buffers are swapped, never copied.  After a staged
+  // commit() S^-1 is dead (the strategy may have taken its buffer).
+  void stage() { strategy_->stage(); }
+  void commit() {
+    std::swap(p_, p_next_);
+    strategy_->commit(s_inv_);
+  }
+  void drop() { strategy_->drop(); }
 
   // The next invert() runs at iteration n + 1.
   void advance() { ++n_; }
@@ -137,6 +153,7 @@ class GainRecursion {
     const InverseEvent event = invert();
     compute_k();
     update_covariance(m);
+    commit();
     advance();
     return event;
   }
@@ -168,8 +185,8 @@ class GainRecursion {
     n_ = state.n;
   }
 
-  // Posterior covariance P (mutable: predict-only steps and the health
-  // monitor overwrite it).
+  // Posterior covariance P of the last committed iteration (mutable:
+  // predict-only steps and the health monitor overwrite it).
   Matrix<T>& p() { return p_; }
   const Matrix<T>& p() const { return p_; }
   const Matrix<T>& p_pred() const { return p_pred_; }
@@ -183,8 +200,9 @@ class GainRecursion {
   // allocator actually handed out); P and the strategy are not counted.
   std::size_t bytes() const {
     std::size_t elements = 0;
-    for (const Matrix<T>* m : {&fp_, &p_pred_, &hp_, &s_, &s_inv_, &pht_, &k_,
-                               &kh_, &i_minus_kh_, &joseph_tmp_, &kr_, &krk_}) {
+    for (const Matrix<T>* m :
+         {&fp_, &p_pred_, &hp_, &s_, &s_inv_, &pht_, &k_, &kh_, &i_minus_kh_,
+          &p_next_, &joseph_tmp_, &kr_, &krk_}) {
       elements += m->capacity();
     }
     return elements * sizeof(T);
@@ -204,6 +222,7 @@ class GainRecursion {
   Matrix<T> k_;          // Kalman gain (x x z)
   Matrix<T> kh_;         // K H (x x x)
   Matrix<T> i_minus_kh_; // I - K H (x x x)
+  Matrix<T> p_next_;     // the next P, current from commit() (x x x)
   Matrix<T> joseph_tmp_; // (I - K H) P' (Joseph form)
   Matrix<T> kr_;         // K R (x x z, Joseph form)
   Matrix<T> krk_;        // K R K^t (x x x, Joseph form)

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <utility>
 
 #include "linalg/matrix.hpp"
 
@@ -96,7 +97,32 @@ class InverseStrategy {
   // (seed policy 0 / last-calculated, eq. 5).  Returns true when the
   // seeding changed (sticky until reset()); false when not applicable.
   virtual bool harden_seed_policy() { return false; }
+
+  // --- Staged inversion (KalmanFilter::prepare_next) ---------------------
+  // Between stage() and the matching commit() or drop(), invert_into
+  // computes as usual but holds back the seed update a stateful strategy
+  // would make, so the seed the next approximation reads is untouched.
+  // commit(out) keeps the staged inversions: `out` is the matrix they
+  // wrote, unchanged since, and dead afterwards — commit may take its
+  // buffer instead of copying it.  drop() forgets them and restores the
+  // recovery flags, as if they never ran.  export_state() during a stage
+  // reports the state before it.  Stateless strategies need none of this.
+  virtual void stage() {}
+  virtual void commit(Matrix<T>& /*out*/) {}
+  virtual void drop() {}
 };
+
+// The seed a staged inversion owes, handed over at commit: take `out`'s
+// buffer when the seed already has its shape (an O(1) swap, no copy),
+// copy it the first time.
+template <typename T>
+void take_seed(Matrix<T>& seed, Matrix<T>& out) {
+  if (seed.same_shape(out)) {
+    std::swap(seed, out);
+  } else {
+    seed = out;
+  }
+}
 
 template <typename T>
 using InverseStrategyPtr = std::unique_ptr<InverseStrategy<T>>;

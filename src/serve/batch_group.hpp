@@ -33,6 +33,9 @@
 // are far ahead — each cohort gets its own fused pass).  The fused pass
 // only produces each member's next state; Session::note_batch_result then
 // runs the same guard and recorded-decode bookkeeping as a solo step.
+// Between quanta the server may run a one-member group's precompute
+// (prepare_next), which extends the schedule to the member's next
+// iteration so the next pass finds its K already computed.
 //
 // Fall-out:
 //  * divergence -> quarantine/restart handled inside the session's gate,
@@ -51,6 +54,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -109,6 +113,17 @@ class BatchGroup {
     return false;
   }
 
+  // Precompute (docs/serving.md; owner of the group's scheduling unit,
+  // between quanta): extend a one-member group's schedule through the
+  // iteration its member decodes next, so its next pass only reads K.
+  void prepare_next() {
+    if (const auto n = next_uncomputed()) (void)schedule_->at(*n);
+  }
+
+  // Whether prepare_next() has work: the only member's next iteration is
+  // not computed yet.
+  bool wants_prepare() const { return next_uncomputed().has_value(); }
+
   struct StepResult {
     std::size_t steps = 0;              // bins consumed (decoded or gated)
     std::vector<SessionId> ejected;     // now solo: reschedule individually
@@ -164,6 +179,22 @@ class BatchGroup {
   }
 
  private:
+  // The iteration the group's only member runs its next bin at, if it
+  // will decode one (Session::decodes_next: not closed, quarantined or
+  // failed) and the schedule has not computed it yet.  A group of several
+  // members precomputes nothing: its cohort pass computes each entry once
+  // for every member, and reading every member's state between quanta to
+  // decide whether a precompute is due cost a 1,024-member fleet more bin
+  // latency than the precomputed entries saved (docs/serving.md).
+  std::optional<std::size_t> next_uncomputed() const {
+    std::lock_guard<std::mutex> lock(members_mu_);
+    if (members_.size() != 1 || !members_.front()->decodes_next())
+      return std::nullopt;
+    const std::size_t n = members_.front()->batch_iteration();
+    if (n < schedule_->computed()) return std::nullopt;
+    return n;
+  }
+
   struct Item {
     Session* session;
     Vector<double> z;
@@ -180,9 +211,10 @@ class BatchGroup {
     // that has to extend the schedule computes this iteration's K/P, which
     // is part of decoding the cohort (docs/serving.md).
     const auto t0 = std::chrono::steady_clock::now();
+    bool precomputed = false;
     const std::shared_ptr<const kalman::GainSchedule::Entry> entry =
         // kalmmind-lint: allow(RT1,RT2) one bounded schedule-cache probe per cohort pass, amortized over every member; advance past a window boundary allocates the next entry for the whole fleet
-        schedule_->at(n);
+        schedule_->at(n, &precomputed);
     if (!entry) {
       // Window miss: these members fell behind the bounded schedule.  The
       // popped bins go back to the queue head and the sessions continue
@@ -203,6 +235,8 @@ class BatchGroup {
       return;
     }
 
+    const PrepareOutcome outcome =
+        precomputed ? PrepareOutcome::kUsed : PrepareOutcome::kMissed;
     const kalman::FilterConfig<double>& cfg = schedule_->config();
     const std::size_t m = end - begin;
     const std::size_t x_dim = cfg.model.x_dim();
@@ -241,7 +275,7 @@ class BatchGroup {
       Session* session = cohort_[begin + i].session;
       // kalmmind-lint: allow(RT1,RT2) per-member result handoff takes the session's own lock, uncontended while the session is batched; the divergence branches inside (quarantine, postmortem) are the self-healing slow path
       const bool degraded = session->note_batch_result(
-          entry, xn_block_.row(i), t0, per_step, recorder);
+          entry, xn_block_.row(i), t0, per_step, recorder, outcome);
       ++result->steps;
       if (degraded) {
         if (telemetry::enabled()) {

@@ -742,10 +742,10 @@ void ShardedDecodeServer::tick() {
   // Cadence checkpoints: durable state for the next failover.
   if (options_.checkpoint_every_bins > 0) {
     for (auto& [id, route] : live_routes(kAllShards)) {
-      const auto s =
-          shards_[route->shard]->server->session_stats(route->local);
+      const std::size_t steps =
+          shards_[route->shard]->server->session_steps(route->local);
       if (!route->snap ||
-          s.steps - route->snap->steps >= options_.checkpoint_every_bins)
+          steps - route->snap->steps >= options_.checkpoint_every_bins)
         (void)checkpoint_route(id, *route);
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -21,6 +22,11 @@ telemetry::Counter& worker_busy_counter() {
   static telemetry::Counter& c = telemetry::MetricsRegistry::global().counter(
       "kalmmind.serve.worker_busy_us_total");
   return c;
+}
+
+// Whether a unit — a solo session or a group — has bins queued.
+bool has_bins(const Session* session, const BatchGroup* group) {
+  return group ? group->pending() : session && session->queue_depth() > 0;
 }
 
 }  // namespace
@@ -45,6 +51,7 @@ DecodeServer::~DecodeServer() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
     ready_.clear();
+    prepare_.clear();
   }
   if (pool_) pool_->shutdown();  // in-flight batches finish, queued jobs park
   // Account for the bins this teardown abandons: every queued-but-undecoded
@@ -55,7 +62,7 @@ DecodeServer::~DecodeServer() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, slot] : slots_) {
     slot.session->discard_queue();
-    if (!slot.closed) sessions_open_gauge().add(-1.0);
+    if (!slot.session->closed()) sessions_open_gauge().add(-1.0);
   }
 }
 
@@ -113,7 +120,7 @@ SessionId DecodeServer::admit(SessionConfig config,
     } else if (options_.batching && !filter.options.health.enabled) {
       // Health gates read the decoded state, so a health-enabled session's
       // gain trajectory is measurement-dependent: never batch it.
-      schedule = cache_.acquire(filter);
+      schedule = cache_.acquire(filter, session->fingerprint());
     }
   } catch (const std::invalid_argument&) {
     // config.check() passed, so this is a factory-parameter problem (e.g.
@@ -194,7 +201,7 @@ PushResult DecodeServer::submit(SessionId id, Vector<double> z) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = slots_.find(id);
-    if (it == slots_.end() || it->second.closed || stopping_) {
+    if (it == slots_.end() || it->second.session->closed() || stopping_) {
       return PushResult::kUnknownSession;
     }
     session = it->second.session;
@@ -205,7 +212,7 @@ PushResult DecodeServer::submit(SessionId id, Vector<double> z) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = slots_.find(id);
     if (it == slots_.end() || stopping_) return result;
-    if (!it->second.unit->scheduled) dispatch_locked(it->second.unit);
+    dispatch_locked(it->second.unit);
   }
   return result;
 }
@@ -216,8 +223,8 @@ bool DecodeServer::close_session(SessionId id, CloseMode mode) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = slots_.find(id);
     if (it == slots_.end()) return false;
-    if (!it->second.closed) sessions_open_gauge().add(-1.0);
-    it->second.closed = true;  // no new submits either way
+    if (!it->second.session->closed()) sessions_open_gauge().add(-1.0);
+    it->second.session->close();  // no new submits either way
     if (mode == CloseMode::kDiscard) session = it->second.session;
   }
   // kDiscard: drop the queued bins now, counted (a consumer that already
@@ -228,10 +235,17 @@ bool DecodeServer::close_session(SessionId id, CloseMode mode) {
 }
 
 BatchGroup::StepResult DecodeServer::step_timed(Session* session,
-                                                BatchGroup* group) {
+                                                BatchGroup* group,
+                                                bool prepare) {
   const auto t0 = std::chrono::steady_clock::now();
   BatchGroup::StepResult result;
-  if (group) {
+  if (prepare) {
+    if (group) {
+      group->prepare_next();
+    } else if (session) {
+      session->prepare_next();
+    }
+  } else if (group) {
     result = group->step_pending(options_.max_batch, &latency_);
   } else if (session) {
     result.steps = session->step_pending(options_.max_batch, &latency_);
@@ -244,18 +258,25 @@ BatchGroup::StepResult DecodeServer::step_timed(Session* session,
   return result;
 }
 
-void DecodeServer::dispatch_locked(std::shared_ptr<Unit> unit) {
-  unit->scheduled = true;
-  ++scheduled_count_;
-  enqueue_locked(std::move(unit));
+void DecodeServer::dispatch_locked(const std::shared_ptr<Unit>& unit) {
+  if (!unit->scheduled) {
+    unit->scheduled = true;
+    ++scheduled_count_;
+    enqueue_locked(unit, Job::kDecode);
+    return;
+  }
+  // Its precompute has not started: the bin goes first.  The unit keeps
+  // its worker token.
+  if (!unit->prepare_queued) return;  // queued for decoding, or running
+  prepare_.erase(std::find(prepare_.begin(), prepare_.end(), unit));
+  unit->prepare_queued = false;
+  ready_.push_back(unit);
 }
 
-void DecodeServer::enqueue_locked(std::shared_ptr<Unit> unit) {
-  if (pool_) {
-    pool_->submit([this, unit] { run(unit); });
-  } else {
-    ready_.push_back(std::move(unit));
-  }
+void DecodeServer::enqueue_locked(std::shared_ptr<Unit> unit, Job job) {
+  unit->prepare_queued = job == Job::kPrepare;
+  (job == Job::kDecode ? ready_ : prepare_).push_back(std::move(unit));
+  if (pool_) pool_->submit([this] { run_next(/*decode_only=*/false); });
 }
 
 void DecodeServer::erase_if_empty_locked(
@@ -282,7 +303,27 @@ void DecodeServer::handle_ejections_locked(
   if (!ejected.empty()) erase_if_empty_locked(group);
 }
 
-std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit) {
+std::size_t DecodeServer::run_next(bool decode_only) {
+  std::shared_ptr<Unit> unit;
+  Job job = Job::kDecode;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!ready_.empty()) {
+      unit = std::move(ready_.front());
+      ready_.pop_front();
+    } else if (!decode_only && !prepare_.empty()) {
+      unit = std::move(prepare_.front());
+      prepare_.pop_front();
+      unit->prepare_queued = false;
+      job = Job::kPrepare;
+    } else {
+      return 0;  // a token whose unit was cancelled or promoted
+    }
+  }
+  return run(unit, job);
+}
+
+std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit, Job job) {
   std::shared_ptr<Session> session;
   std::shared_ptr<BatchGroup> group;
   bool stopping = false;
@@ -292,21 +333,22 @@ std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit) {
     group = unit->group;
     stopping = stopping_;
   }
+  // A precompute never starts ahead of a bin: one that arrived after the
+  // unit was queued (but before submit() could promote it) decodes now.
+  const bool prepare =
+      job == Job::kPrepare && !has_bins(session.get(), group.get());
   BatchGroup::StepResult result;
-  if (!stopping) result = step_timed(session.get(), group.get());
+  if (!stopping) result = step_timed(session.get(), group.get(), prepare);
   std::lock_guard<std::mutex> lock(mu_);
   handle_ejections_locked(group, result.ejected);
-  // Atomically (under mu_) decide: more work -> stay scheduled and
-  // re-dispatch; empty -> park.  submit() checks `scheduled` under the
-  // same mutex, so a bin enqueued concurrently is never stranded.
-  bool pending = false;
-  if (group) {
-    pending = group->pending();
-  } else if (unit->session) {
-    pending = unit->session->queue_depth() > 0;
-  }
-  if (!stopping_ && pending) {
-    enqueue_locked(unit);
+  // Atomically (under mu_) decide: more bins -> stay scheduled and decode
+  // again; a next gain to precompute -> stay scheduled at low priority;
+  // else park.  submit() checks `scheduled` under the same mutex, so a bin
+  // enqueued concurrently is never stranded.
+  if (!stopping_ && has_bins(unit->session.get(), group.get())) {
+    enqueue_locked(unit, Job::kDecode);
+  } else if (!stopping_ && !prepare && wants_prepare_locked(*unit)) {
+    enqueue_locked(unit, Job::kPrepare);
   } else {
     unit->scheduled = false;
     --scheduled_count_;
@@ -315,21 +357,18 @@ std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit) {
   return result.steps;
 }
 
-std::size_t DecodeServer::poll() {
-  std::shared_ptr<Unit> unit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ready_.empty()) return 0;
-    unit = std::move(ready_.front());
-    ready_.pop_front();
-  }
-  return run(unit);
+bool DecodeServer::wants_prepare_locked(const Unit& unit) const {
+  if (unit.group) return unit.group->wants_prepare();
+  return unit.session && unit.session->wants_prepare();
 }
+
+std::size_t DecodeServer::poll() { return run_next(/*decode_only=*/false); }
 
 void DecodeServer::drain() {
   if (!pool_) {
-    // Manual mode: pump on the calling thread until nothing is ready.
-    while (poll() > 0 || [this] {
+    // Manual mode: pump decodes on the calling thread until none is ready;
+    // precomputes stay queued for later poll() calls.
+    while (run_next(/*decode_only=*/true) > 0 || [this] {
       std::lock_guard<std::mutex> lock(mu_);
       return !ready_.empty();
     }()) {
@@ -381,13 +420,21 @@ bool DecodeServer::remove_session(SessionId id) {
     group->remove(id);
     erase_if_empty_locked(group);
   } else {
+    // A precompute that has not started is cancelled; its worker token
+    // finds nothing to run.
+    if (slot.unit->prepare_queued) {
+      prepare_.erase(std::find(prepare_.begin(), prepare_.end(), slot.unit));
+      slot.unit->prepare_queued = false;
+      slot.unit->scheduled = false;
+      --scheduled_count_;
+    }
     // Pool mode: a worker may be inside the session right now — refuse.
     // Manual mode with quiesced pumping (the migration contract): a token
     // still queued for the emptied unit parks on its next poll().
     if (slot.unit->scheduled && pool_) return false;
     slot.unit->session.reset();
   }
-  if (!slot.closed) sessions_open_gauge().add(-1.0);
+  if (!slot.session->closed()) sessions_open_gauge().add(-1.0);
   slots_.erase(it);
   drain_cv_.notify_all();
   return true;
@@ -427,17 +474,26 @@ SessionStatsSnapshot DecodeServer::session_stats(SessionId id) const {
   return session ? session->stats() : SessionStatsSnapshot{};
 }
 
+std::size_t DecodeServer::session_steps(SessionId id) const {
+  auto session = find(id);
+  return session ? session->steps() : 0;
+}
+
 ServerStats DecodeServer::stats() const {
   ServerStats out;
   std::vector<std::shared_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions.reserve(slots_.size());
+    // Every group some session decodes in — including a restored stream's
+    // seeded one-member group, which groups_ does not register.
+    std::unordered_set<const BatchGroup*> groups;
     for (const auto& [id, slot] : slots_) {
       sessions.push_back(slot.session);
-      if (!slot.closed) ++out.sessions;
+      if (!slot.session->closed()) ++out.sessions;
+      if (const BatchGroup* g = slot.unit->group.get()) groups.insert(g);
     }
-    out.batch_groups = groups_.size();
+    out.batch_groups = groups.size();
   }
   for (const auto& session : sessions) {
     SessionStatsSnapshot s = session->stats();
@@ -453,6 +509,9 @@ ServerStats DecodeServer::stats() const {
     out.total_restarts += s.restarts;
     out.total_degradations += s.degradations;
     out.total_quarantine_dropped += s.quarantine_dropped;
+    out.total_prepared_steps += s.prepared_steps;
+    out.total_unprepared_steps += s.unprepared_steps;
+    out.total_prepared_dropped += s.prepared_dropped;
     switch (s.state) {
       case SessionState::kDegraded: ++out.degraded_sessions; break;
       case SessionState::kQuarantined: ++out.quarantined_sessions; break;
@@ -552,6 +611,12 @@ std::string ServerStats::to_string() const {
                 (unsigned long long)gain_cache_hits,
                 (unsigned long long)gain_cache_misses,
                 (unsigned long long)gain_cache_evictions);
+  out += line;
+  std::snprintf(line, sizeof(line),
+                "precompute : %zu bins found their gain prepared, %zu did "
+                "not, %zu prepared gains dropped\n",
+                total_prepared_steps, total_unprepared_steps,
+                total_prepared_dropped);
   out += line;
   return out;
 }

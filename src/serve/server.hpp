@@ -5,15 +5,28 @@
 // is either one solo session or one BatchGroup; both take the same path:
 //  * submit() enqueues a bin into the session's bounded queue.  If the
 //    session's unit is not currently scheduled, it is marked scheduled and
-//    dispatched: a pool job (pool mode) or a ready-queue token (manual
-//    mode, where poll() pumps one token on the calling thread —
-//    deterministic tests, single-threaded embedding).
+//    queued for decoding.
+//  * One ready structure with two priorities holds the scheduled units
+//    waiting for a worker: units with bins to decode, and idle units whose
+//    next gain can be precomputed.  Pool workers and manual-mode poll()
+//    (which runs one unit on the calling thread — deterministic tests,
+//    single-threaded embedding) take from it alike, decode units first, so
+//    a queued bin only ever waits behind precompute work already running.
 //  * The worker body steps the unit for one quantum (up to max_batch bins,
-//    or rounds of one bin per member for a group), then either re-dispatches
-//    it (more bins arrived meanwhile) or clears the scheduled flag.  At most
-//    one worker ever steps a given unit, so per-session decode order — and
-//    the decoded trajectory — is exactly the single-threaded result, bit for
-//    bit.
+//    or rounds of one bin per member for a group), then either re-queues
+//    it (more bins arrived meanwhile), queues its precompute, or clears the
+//    scheduled flag.  At most one worker ever owns a given unit, so
+//    per-session decode order — and the decoded trajectory — is exactly the
+//    single-threaded result, bit for bit.
+//  * Precompute (docs/serving.md): the measurement-independent half of a
+//    unit's next decode — P', S, S^-1, K and the next P, which never read
+//    the bin (PAPER.md pillar 1) — runs in idle worker time right after the
+//    unit's last bin, so the next bin pays only its correction.  A solo
+//    session prepares its filter (KalmanFilter::prepare_next), a one-member
+//    group extends its schedule to its member's next iteration; a larger
+//    group precomputes nothing.  A bin arriving while the precompute still
+//    waits promotes the unit to a decode; one arriving while it runs is
+//    decoded right after it.
 //
 // Batched serving (docs/serving.md): with ServerOptions::batching on,
 // sessions admitted with equal FilterConfigs (health disabled) share a
@@ -111,11 +124,16 @@ class DecodeServer {
   bool close_session(SessionId id, CloseMode mode = CloseMode::kDrain);
 
   // Block until every queued bin (across all sessions) has been decoded.
-  // In manual mode this pumps the ready queue on the calling thread.
+  // Pool mode waits until the workers are idle, so the precomputes that
+  // follow those bins are done too.  Manual mode pumps decodes on the
+  // calling thread and leaves precomputes to later poll() calls, so a
+  // manual caller decides when that work runs.
   void drain();
 
-  // Manual mode: batch-step one ready session on the calling thread.
-  // Returns the number of filter steps executed (0 = nothing ready).
+  // Manual mode: run one ready unit on the calling thread — a unit with
+  // bins to decode if there is one, else one precompute.  Returns the
+  // number of bins consumed (0 = nothing to decode: a precompute ran, or
+  // nothing was ready).
   std::size_t poll();
 
   std::vector<Vector<double>> trajectory(SessionId id) const;
@@ -125,6 +143,9 @@ class DecodeServer {
                                                std::size_t to) const;
   std::vector<core::IterationTiming> timings(SessionId id) const;
   SessionStatsSnapshot session_stats(SessionId id) const;
+  // The session's decoded-bin count (0 for an unknown id): the cheap read
+  // of SessionStatsSnapshot::steps, without the latency percentiles.
+  std::size_t session_steps(SessionId id) const;
   ServerStats stats() const;
 
   // --- checkpoint / restore / migration (serve/snapshot.hpp) --------------
@@ -175,12 +196,15 @@ class DecodeServer {
     std::shared_ptr<Session> session;
     std::shared_ptr<BatchGroup> group;
     bool scheduled = false;  // a worker owns (or will own) this unit
+    bool prepare_queued = false;  // waiting in prepare_, not yet started
   };
+
+  // What a worker does with the unit it takes.
+  enum class Job { kDecode, kPrepare };
 
   struct Slot {
     std::shared_ptr<Session> session;
     std::shared_ptr<Unit> unit;  // the session's own unit, or its group's
-    bool closed = false;         // no longer accepts submits
   };
 
   std::shared_ptr<Session> find(SessionId id) const;
@@ -195,16 +219,27 @@ class DecodeServer {
                                           std::size_t iteration) const;
   // mu_ held: add the slot's session to `unit`'s group.
   void join_group_locked(Slot& slot, std::shared_ptr<Unit> unit);
-  // mu_ held: mark the unit scheduled and hand it to a worker (pool mode) or
-  // the ready queue (manual mode); enqueue_locked is the hand-off alone.
-  void dispatch_locked(std::shared_ptr<Unit> unit);
-  void enqueue_locked(std::shared_ptr<Unit> unit);
-  // Worker body, for pool jobs and poll() alike: step the unit for one
-  // quantum, then re-dispatch or park it.  Returns bins consumed.
-  std::size_t run(const std::shared_ptr<Unit>& unit);
-  // Time one quantum and fold it into the busy-time tally plus the
-  // kalmmind.serve.worker_busy_us_total counter.
-  BatchGroup::StepResult step_timed(Session* session, BatchGroup* group);
+  // mu_ held: a bin arrived for `unit`.  An idle unit is marked scheduled
+  // and queued for decoding; one whose precompute is still queued is
+  // promoted to a decode.
+  void dispatch_locked(const std::shared_ptr<Unit>& unit);
+  // mu_ held: queue a scheduled unit for `job` and, in pool mode, post a
+  // worker token for it.
+  void enqueue_locked(std::shared_ptr<Unit> unit, Job job);
+  // Worker body, for pool tokens and poll() alike: take the next unit
+  // (decodes first; `decode_only` leaves precomputes queued) and run it.
+  // Returns bins consumed.
+  std::size_t run_next(bool decode_only);
+  // Run one unit's job: a decode quantum, or its precompute (turned into a
+  // decode when bins arrived meanwhile), then re-queue or park it.
+  std::size_t run(const std::shared_ptr<Unit>& unit, Job job);
+  // mu_ held: whether the unit's next decode can be precomputed.
+  bool wants_prepare_locked(const Unit& unit) const;
+  // Time one quantum (a decode, or a precompute when `prepare`) and fold it
+  // into the busy-time tally plus the kalmmind.serve.worker_busy_us_total
+  // counter.
+  BatchGroup::StepResult step_timed(Session* session, BatchGroup* group,
+                                    bool prepare);
   // mu_ held: give each ejected member a solo unit (scheduled if it has
   // pending bins), then erase `group` if it emptied.
   void handle_ejections_locked(const std::shared_ptr<BatchGroup>& group,
@@ -223,7 +258,11 @@ class DecodeServer {
   std::unordered_map<SessionId, Slot> slots_;
   // Live groups by schedule fingerprint.
   std::unordered_map<std::uint64_t, std::shared_ptr<Unit>> groups_;
-  std::deque<std::shared_ptr<Unit>> ready_;  // manual mode only
+  // The ready structure: scheduled units waiting for a worker, by
+  // priority.  Pool mode posts one worker token per queued unit; a token
+  // takes whichever unit is first when it runs.
+  std::deque<std::shared_ptr<Unit>> ready_;    // bins to decode
+  std::deque<std::shared_ptr<Unit>> prepare_;  // precompute the next gain
   SessionId next_id_ = 1;
   std::size_t scheduled_count_ = 0;
   bool stopping_ = false;

@@ -14,10 +14,13 @@
 //    decode step never blocks producers.
 //  * checkpoint() may run from any thread.  A solo consumer holds the
 //    session's step guard (step_mu_) across each bin — gate, filter step,
-//    bookkeeping — and checkpoint() takes the same guard while it copies
-//    the filter's recursion state, so a snapshot never sees a half-stepped
-//    filter and no decode pays for a copy.  A batched session's recursion
-//    state lives in its GainSchedule, read under the schedule's own lock.
+//    bookkeeping — and across each precompute (prepare_next), and
+//    checkpoint() takes the same guard while it copies the filter's
+//    recursion state, so a snapshot never sees a half-stepped filter and no
+//    decode pays for a copy.  A prepared half is not part of a snapshot:
+//    the filter exports the state of its last step.  A batched session's
+//    recursion state lives in its GainSchedule, read under the schedule's
+//    own lock.
 //
 // Both engines share one consumer path: the self-healing gate
 // (pop_gated), the recorded-decode bookkeeping (record_decode) and the
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -209,6 +213,14 @@ struct SessionConfig {
   }
 };
 
+// Whether a decoded bin found the measurement-independent half of its
+// step computed before it arrived (SessionStatsSnapshot::prepared_steps).
+enum class PrepareOutcome {
+  kUsed,     // prepared ahead, and only the correction ran on arrival
+  kMissed,   // nothing prepared: the whole step ran on arrival
+  kDropped,  // prepared, but the bin skipped its measurement
+};
+
 // Outcome of popping one bin through the self-healing gate.
 enum class GatedPop {
   kEmpty,   // no bin queued
@@ -272,11 +284,12 @@ class Session {
       if (pop == GatedPop::kEmpty) break;
       if (pop == GatedPop::kDropped) continue;
       const auto t0 = std::chrono::steady_clock::now();
+      const bool prepared = filter_.prepared();
       const Vector<double>* x = nullptr;
       // The flight-session scope attributes health-monitor events recorded
       // inside the filter step to this session (telemetry/flight_recorder).
       const Status step_status = [&] {
-        telemetry::ScopedFlightSession flight(id_, steps_done());
+        telemetry::ScopedFlightSession flight(id_, steps());
         return guarded_step(z, &x);
       }();
       const double seconds = std::chrono::duration<double>(
@@ -285,7 +298,14 @@ class Session {
       if (!step_status.ok()) {
         record_invalid(step_status.message());
       } else {
-        (void)record_decode(*x, t0, seconds, recorder);
+        // A prepared half is only ever dropped by a bin the health monitor
+        // skipped (a non-finite measurement).
+        const PrepareOutcome outcome =
+            !prepared ? PrepareOutcome::kMissed
+            : filter_.health().has(kalman::HealthFault::kMeasurementNonFinite)
+                ? PrepareOutcome::kDropped
+                : PrepareOutcome::kUsed;
+        (void)record_decode(*x, t0, seconds, recorder, outcome);
       }
     }
     telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
@@ -296,9 +316,35 @@ class Session {
     return consumed;
   }
 
+  // Precompute (solo consumer: the owner of the session's scheduling
+  // unit, between bins): run the measurement-independent half of the next
+  // decode now, so the bin pays only its correction (docs/serving.md).
+  // Returns whether it did; a no-op unless wants_prepare().
+  bool prepare_next() {
+    std::lock_guard<std::mutex> step(step_mu_);
+    if (!wants_prepare()) return false;
+    telemetry::ScopedFlightSession flight(id_, steps());
+    filter_.prepare_next();
+    return true;
+  }
+
+  // Whether prepare_next() has work (consumer side): a solo session that
+  // will run the recursion on its next bin (decodes_next()), filter not
+  // yet prepared and its SSKF fallback not engaged.
+  bool wants_prepare() const {
+    if (batched() || !decodes_next()) return false;
+    return !filter_.prepared() && !filter_.health().fallback_active;
+  }
+
   std::size_t queue_depth() const {
     std::lock_guard<std::mutex> lock(mu_);
     return queue_.size();
+  }
+
+  // Bins decoded so far (SessionStatsSnapshot::steps without the rest).
+  std::size_t steps() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counters_.steps;
   }
 
   // Decoded states so far, in submission order (empty when
@@ -339,6 +385,9 @@ class Session {
     s.workspace_bytes = workspace_bytes_;
     s.state = state_;
     s.batched = batched_;
+    s.prepared_steps = prepared_[std::size_t(PrepareOutcome::kUsed)];
+    s.unprepared_steps = prepared_[std::size_t(PrepareOutcome::kMissed)];
+    s.prepared_dropped = prepared_[std::size_t(PrepareOutcome::kDropped)];
     if (!latency_samples_.empty()) {
       std::vector<double> sorted = latency_samples_;
       std::sort(sorted.begin(), sorted.end());
@@ -420,13 +469,14 @@ class Session {
   // Record the result of one batched decode: update the batch state, then
   // the same Status guard and bookkeeping as the solo path.  `t0` is the
   // cohort pass start and `seconds` this session's share of it (cohort wall
-  // time / cohort size).  Returns true when the deadline ladder degraded
-  // the session — it now runs solo on the cheap constant-gain strategy and
+  // time / cohort size); `outcome` says whether the entry was computed
+  // before the pass.  Returns true when the deadline ladder degraded the
+  // session — it now runs solo on the cheap constant-gain strategy and
   // must leave the group.
   [[nodiscard]] bool note_batch_result(
       std::shared_ptr<const kalman::GainSchedule::Entry> entry,
       const double* x_new, std::chrono::steady_clock::time_point t0,
-      double seconds, LatencyRecorder* recorder) {
+      double seconds, LatencyRecorder* recorder, PrepareOutcome outcome) {
     // Mirror the filter state mutation exactly: the decoded state becomes
     // the batch estimate even when non-finite (a solo filter's state is
     // poisoned the same way), so a healing-disabled stream stays invalid
@@ -440,7 +490,8 @@ class Session {
         return false;  // quarantine is handled by the pop gate
       }
     }
-    return record_decode(batch_x_, t0, seconds, recorder, std::move(entry));
+    return record_decode(batch_x_, t0, seconds, recorder, outcome,
+                         std::move(entry));
   }
 
   // Leave the group (schedule window miss, or the group dissolving):
@@ -562,6 +613,23 @@ class Session {
     consecutive_hits_ = snap.consecutive_hits;
   }
 
+  // Stop accepting bins (DecodeServer::close_session).  The queued ones
+  // still decode unless discarded; no next gain is precomputed for a bin
+  // that can never arrive.
+  // Lock-free: DecodeServer::submit reads it for every bin.
+  void close() { closed_.store(true); }
+  bool closed() const { return closed_.load(); }
+
+  // Whether the session runs the recursion on its next bin, if one comes:
+  // open, and not quarantined or failed (the bin is dropped, or restarts
+  // the stream).
+  bool decodes_next() const {
+    if (closed()) return false;
+    std::lock_guard<std::mutex> lock(mu_);
+    return state_ != SessionState::kQuarantined &&
+           state_ != SessionState::kFailed;
+  }
+
   // Drop every queued-but-undecoded bin, counting them as discarded (the
   // close/teardown accounting satellite: nothing vanishes silently).
   std::size_t discard_queue() {
@@ -611,11 +679,6 @@ class Session {
 #endif
 
  private:
-  std::size_t steps_done() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counters_.steps;
-  }
-
   // Status-returning decode guard: step the filter and validate the result
   // before it can reach the latency percentiles or the trajectory.  Invalid
   // when the state came back non-finite, or when the filter-level health
@@ -645,7 +708,7 @@ class Session {
   // must then leave its group.
   bool record_decode(
       const Vector<double>& x, std::chrono::steady_clock::time_point t0,
-      double seconds, LatencyRecorder* recorder,
+      double seconds, LatencyRecorder* recorder, PrepareOutcome outcome,
       std::shared_ptr<const kalman::GainSchedule::Entry> entry = nullptr) {
     auto& tm = detail::ServeTelemetry::get();
 #if defined(KALMMIND_FAULTS)
@@ -671,6 +734,7 @@ class Session {
       was_batched = batched_;
       timing.kf_iteration = counters_.steps;
       ++counters_.steps;
+      ++prepared_[std::size_t(outcome)];
       if (batched_) {
         ++counters_.batched_steps;
         tm.batched_steps.add();
@@ -921,7 +985,9 @@ class Session {
   std::vector<Vector<double>> states_;
   std::vector<core::IterationTiming> timings_;
   bool batched_ = false;           // currently owned by a BatchGroup
+  std::atomic<bool> closed_{false};  // no longer accepts bins
   std::size_t max_backlog_ = 0;
+  std::size_t prepared_[3] = {};   // decoded bins by PrepareOutcome
   static constexpr std::size_t kLatencySampleCap = 512;
   std::vector<double> latency_samples_;  // bounded sample for SLO rollups
   std::uint64_t latency_lcg_ = 0x9e3779b97f4a7c15ull;

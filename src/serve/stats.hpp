@@ -1,10 +1,12 @@
 // Serving telemetry: per-step latency aggregation and the snapshot structs
 // DecodeServer::stats() returns.
 //
-// Latencies are wall-clock seconds per KalmanFilter::step, recorded by the
-// worker that executed the step.  The recorder keeps a bounded sample
-// buffer (uniform-ish replacement once full) so a long-running server does
-// not grow without bound; p50/p99 are computed on snapshot.
+// Latencies are wall-clock seconds per decoded bin, recorded by the worker
+// that decoded it: the arrival path only (a gain precomputed before the bin
+// arrived is not in it; one computed on arrival is).  The recorder keeps a
+// bounded sample buffer (uniform-ish replacement once full) so a
+// long-running server does not grow without bound; p50/p99 are computed on
+// snapshot.
 #pragma once
 
 #include <algorithm>
@@ -141,6 +143,14 @@ struct SessionStatsSnapshot : SessionCounters {
   std::size_t workspace_bytes = 0;  // filter step-workspace heap bytes
   SessionState state = SessionState::kHealthy;
   bool batched = false;             // currently decoding in a BatchGroup
+  // Precompute (docs/serving.md), over the decoded bins of this server's
+  // incarnation of the session (not carried across migrations): the bin
+  // found its gain prepared before it arrived, found none and computed it
+  // on arrival, or skipped its measurement so the prepared gain was thrown
+  // away.  The three add up to the bins decoded here.
+  std::size_t prepared_steps = 0;
+  std::size_t unprepared_steps = 0;
+  std::size_t prepared_dropped = 0;
   // SLO rollup (docs/observability.md): step-latency percentiles over a
   // bounded per-session sample, computed with telemetry::percentile.
   double p50_step_s = 0.0;
@@ -171,12 +181,16 @@ struct ServerStats {
   std::size_t total_quarantine_dropped = 0;
   // Batched serving rollup (docs/serving.md).
   std::size_t batched_sessions = 0;     // sessions currently in a group
-  std::size_t batch_groups = 0;         // live same-config groups
+  std::size_t batch_groups = 0;         // groups some session decodes in
   std::size_t total_batched_steps = 0;
   std::uint64_t gain_cache_hits = 0;
   std::uint64_t gain_cache_misses = 0;
   std::uint64_t gain_cache_evictions = 0;
   std::uint64_t gain_cache_collisions = 0;
+  // Precompute rollup: the per-session fields summed (docs/serving.md).
+  std::size_t total_prepared_steps = 0;
+  std::size_t total_unprepared_steps = 0;
+  std::size_t total_prepared_dropped = 0;
   // SLO rollup (docs/observability.md): fraction of recorded steps that met
   // their session deadline (1.0 while no step has been recorded), also
   // exported as the kalmmind.serve.slo_attainment gauge.

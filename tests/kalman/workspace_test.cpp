@@ -123,6 +123,40 @@ TEST(WorkspaceTest, StepIsAllocationFreeAfterWarmup) {
   }
 }
 
+// The arrival path — what step() runs once prepare_next() has computed the
+// gain ahead of the bin — allocates nothing at all: not for calculation
+// strategies (their allocations happen in the prepare), not with the
+// health monitor on.
+TEST(WorkspaceTest, ArrivalPathIsAllocationFree) {
+  const auto model = small_model(/*z_dim=*/6);
+  const auto zs = simulate_measurements(model, 10);
+  auto strategies = steady_state_strategies(model);
+  strategies.push_back({StrategySpec::parse("gauss"), {}});
+  strategies.push_back(
+      {StrategySpec::parse(
+           "interleaved(calc=cholesky,calc_freq=2,approx=2,policy=1)"),
+       {}});
+  for (const bool health : {false, true}) {
+    FilterOptions options;
+    options.health.enabled = health;
+    options.health.innovation_gate_sigma = 3.0;
+    for (const auto& [spec, matrices] : strategies) {
+      KalmanFilter<double> filter(
+          model, make_inverse_strategy<double>(spec, matrices), options);
+      filter.step(zs[0]);
+      filter.step(zs[1]);
+      for (std::size_t n = 2; n < zs.size(); ++n) {
+        filter.prepare_next();
+        const std::uint64_t before = heap_allocations();
+        filter.step(zs[n]);
+        EXPECT_EQ(heap_allocations() - before, 0u)
+            << "strategy '" << spec.format() << "' health " << health
+            << " allocated on the arrival path at bin " << n;
+      }
+    }
+  }
+}
+
 TEST(WorkspaceTest, JosephUpdateStepIsAllocationFreeAfterWarmup) {
   const auto model = small_model(/*z_dim=*/5);
   const auto zs = simulate_measurements(model, 6);

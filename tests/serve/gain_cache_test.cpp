@@ -47,6 +47,29 @@ TEST(ServeGainCacheTest, AcquireSharesOneScheduleAndCountsHits) {
   EXPECT_EQ(stats.size, 1u);
 }
 
+// A caller that already holds the config's fingerprint passes it through:
+// the cache keys on it and the schedule it builds keeps it, so opening a
+// session hashes the model once.  Collision injection still overrides the
+// key.
+TEST(ServeGainCacheTest, AcquireTakesTheCallersFingerprint) {
+  GainScheduleCache cache(/*capacity=*/4);
+  const FilterConfigD cfg = interleaved_config();
+  const std::uint64_t fp = cfg.fingerprint();
+  auto first = cache.acquire(cfg, fp);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->fingerprint(), fp);
+  EXPECT_EQ(cache.acquire(cfg).get(), first.get());  // the same key
+  EXPECT_EQ(cache.stats().hits, 1u);
+#if defined(KALMMIND_FAULTS)
+  FilterConfigD other = cfg;
+  other.strategy.calc_freq = 5;
+  cache.fault_force_key(fp);
+  EXPECT_EQ(cache.acquire(other, other.fingerprint()), nullptr);
+  EXPECT_EQ(cache.stats().collisions, 1u);
+  cache.clear_fault_forced_key();
+#endif
+}
+
 TEST(ServeGainCacheTest, DifferentConfigsGetDifferentSchedules) {
   GainScheduleCache cache(/*capacity=*/4);
   const FilterConfigD a = interleaved_config(4, 1);

@@ -1171,6 +1171,33 @@ TEST(ServeSnapshotTest, FreshSessionAfterAColdRestoreIsBatched) {
   expect_bit_identical(b.trajectory(restored), tail, "restored");
 }
 
+// ServerStats::batch_groups counts every group a session decodes in: the
+// cold restore's seeded one-member group (never registered for fresh
+// sessions to join) and the fresh sessions' group both decode here.
+TEST(ServeSnapshotTest, SeededAndFreshGroupsAreBothCounted) {
+  const auto model = testing::small_model(6);
+  const SessionConfig cfg = interleaved_config(model);
+  const auto zs = testing::simulate_measurements(model, 30, 62);
+  constexpr std::size_t kCut = 20;
+  const SessionSnapshot snap = checkpoint_after(cfg, {}, zs, kCut);
+  ASSERT_EQ(snap.kind, SnapshotKind::kSchedule);
+
+  DecodeServer b({/*workers=*/ServerOptions::kManual});
+  const SessionId restored = b.restore_session(cfg, snap);
+  ASSERT_NE(restored, DecodeServer::kInvalidSession);
+  const SessionId fresh = b.open_session(cfg);
+  for (std::size_t n = kCut; n < zs.size(); ++n)
+    ASSERT_EQ(b.submit(restored, zs[n]), PushResult::kAccepted);
+  for (const auto& z : zs) ASSERT_EQ(b.submit(fresh, z), PushResult::kAccepted);
+  b.drain();
+
+  const ServerStats stats = b.stats();
+  EXPECT_EQ(stats.batched_sessions, 2u);
+  EXPECT_EQ(stats.batch_groups, 2u);
+  EXPECT_EQ(b.session_stats(restored).batched_steps, zs.size());
+  EXPECT_EQ(b.session_stats(fresh).batched_steps, zs.size());
+}
+
 // A restore ahead of the target's live group of the same config joins that
 // group instead of decoding on a schedule of its own: the group computes
 // the iterations between its head and the snapshot once, for every member,
