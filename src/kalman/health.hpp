@@ -264,7 +264,10 @@ class NumericalHealthMonitor {
   }
 
   // Called once per step before any check records into last_faults.
-  void begin_step() { stats_.last_faults = 0; }
+  void begin_step() {
+    stats_.last_faults = 0;
+    residual_repaired_ = false;
+  }
 
   // Deferred notes (KalmanFilter::prepare_next).  While deferring, the
   // Newton probe's fault and its forced-calculation repair are held back
@@ -282,7 +285,7 @@ class NumericalHealthMonitor {
     }
     if (deferred_forced_calculation_) {
       deferred_forced_calculation_ = false;
-      note_recovery(RecoveryAction::kForceCalculation);
+      note_forced_calculation();
     }
   }
   void discard_deferred() {
@@ -334,6 +337,7 @@ class NumericalHealthMonitor {
       deferred_forced_calculation_ = true;
       return;
     }
+    residual_repaired_ = true;
     note_recovery(RecoveryAction::kForceCalculation);
   }
 
@@ -383,13 +387,15 @@ class NumericalHealthMonitor {
       resymmetrize(p);
     }
 
-    // Measurement-layer faults (NaN z, gated channels) were already
-    // recovered before the update; they do not climb the ladder.
-    const unsigned measurement_faults =
+    // Faults already recovered before the update do not climb the ladder:
+    // measurement-layer faults (NaN z, gated channels), and a probe's
+    // residual growth that this step repaired with a forced calculation.
+    unsigned recovered =
         static_cast<unsigned>(HealthFault::kMeasurementNonFinite) |
         static_cast<unsigned>(HealthFault::kMeasurementOutlier);
-    const bool numerical_fault =
-        (stats_.last_faults & ~measurement_faults) != 0;
+    if (residual_repaired_)
+      recovered |= static_cast<unsigned>(HealthFault::kResidualGrowth);
+    const bool numerical_fault = (stats_.last_faults & ~recovered) != 0;
 
     if (!numerical_fault) {
       last_good_x_ = x;
@@ -583,6 +589,8 @@ class NumericalHealthMonitor {
   bool deferring_ = false;
   unsigned deferred_faults_ = 0;
   bool deferred_forced_calculation_ = false;
+  // This step's probe failure was repaired by a forced calculation.
+  bool residual_repaired_ = false;
 };
 
 }  // namespace kalmmind::kalman

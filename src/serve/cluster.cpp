@@ -327,7 +327,8 @@ SessionId ShardedDecodeServer::open_session(SessionConfig config,
       }
     }
   }
-  if (r == PushResult::kRejectedFull || r == PushResult::kUnknownSession) {
+  if (r == PushResult::kRejectedFull || r == PushResult::kUnknownSession ||
+      r == PushResult::kRejectedInvalid) {
     // The optimistic accepted_since bump did not materialize.
     std::lock_guard<std::mutex> lock(shard.adm_mu);
     if (shard.accepted_since > 0) --shard.accepted_since;

@@ -206,14 +206,31 @@ PushResult DecodeServer::submit(SessionId id, Vector<double> z) {
     }
     session = it->second.session;
   }
+  // Checked before the bin is queued: a decode would throw on it, on a
+  // worker or on this thread while it owns the unit.
+  if (z.size() != session->config().filter.model.z_dim())
+    return PushResult::kRejectedInvalid;
   const PushResult result = session->enqueue(std::move(z));
   if (result == PushResult::kRejectedFull) return result;
+  std::shared_ptr<Unit> arrival;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = slots_.find(id);
     if (it == slots_.end() || stopping_) return result;
-    dispatch_locked(it->second.unit);
+    const std::shared_ptr<Unit>& unit = it->second.unit;
+    // An idle pool-mode solo unit whose next gain is prepared: this thread
+    // takes ownership and runs the bin's correction itself, instead of
+    // waiting for a worker.  Everything else goes to the ready structure.
+    if (pool_ && unit->session && !unit->scheduled &&
+        unit->session->arrival_ready()) {
+      unit->scheduled = true;
+      ++scheduled_count_;
+      arrival = unit;
+    } else {
+      dispatch_locked(unit);
+    }
   }
+  if (arrival) run(arrival, Job::kArrival);
   return result;
 }
 
@@ -235,11 +252,10 @@ bool DecodeServer::close_session(SessionId id, CloseMode mode) {
 }
 
 BatchGroup::StepResult DecodeServer::step_timed(Session* session,
-                                                BatchGroup* group,
-                                                bool prepare) {
+                                                BatchGroup* group, Job job) {
   const auto t0 = std::chrono::steady_clock::now();
   BatchGroup::StepResult result;
-  if (prepare) {
+  if (job == Job::kPrepare) {
     if (group) {
       group->prepare_next();
     } else if (session) {
@@ -248,7 +264,13 @@ BatchGroup::StepResult DecodeServer::step_timed(Session* session,
   } else if (group) {
     result = group->step_pending(options_.max_batch, &latency_);
   } else if (session) {
-    result.steps = session->step_pending(options_.max_batch, &latency_);
+    result.steps = session->step_pending(
+        job == Job::kArrival ? 1 : options_.max_batch, &latency_);
+  }
+  if (job == Job::kArrival) {
+    // The submitting thread's time is not worker time.
+    arrival_steps_.fetch_add(result.steps, std::memory_order_relaxed);
+    return result;
   }
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
@@ -335,10 +357,10 @@ std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit, Job job) {
   }
   // A precompute never starts ahead of a bin: one that arrived after the
   // unit was queued (but before submit() could promote it) decodes now.
-  const bool prepare =
-      job == Job::kPrepare && !has_bins(session.get(), group.get());
+  if (job == Job::kPrepare && has_bins(session.get(), group.get()))
+    job = Job::kDecode;
   BatchGroup::StepResult result;
-  if (!stopping) result = step_timed(session.get(), group.get(), prepare);
+  if (!stopping) result = step_timed(session.get(), group.get(), job);
   std::lock_guard<std::mutex> lock(mu_);
   handle_ejections_locked(group, result.ejected);
   // Atomically (under mu_) decide: more bins -> stay scheduled and decode
@@ -347,7 +369,8 @@ std::size_t DecodeServer::run(const std::shared_ptr<Unit>& unit, Job job) {
   // enqueued concurrently is never stranded.
   if (!stopping_ && has_bins(unit->session.get(), group.get())) {
     enqueue_locked(unit, Job::kDecode);
-  } else if (!stopping_ && !prepare && wants_prepare_locked(*unit)) {
+  } else if (!stopping_ && job != Job::kPrepare &&
+             wants_prepare_locked(*unit)) {
     enqueue_locked(unit, Job::kPrepare);
   } else {
     unit->scheduled = false;
@@ -525,6 +548,7 @@ ServerStats DecodeServer::stats() const {
                      .count();
   out.steps_per_second =
       out.uptime_s > 0.0 ? double(out.total_steps) / out.uptime_s : 0.0;
+  out.total_arrival_steps = arrival_steps_.load(std::memory_order_relaxed);
   out.worker_busy_s =
       double(busy_us_.load(std::memory_order_relaxed)) * 1e-6;
   const double lanes = double(std::max(1u, workers()));
@@ -573,8 +597,10 @@ std::string ServerStats::to_string() const {
                 total_steps, uptime_s, steps_per_second);
   out += line;
   std::snprintf(line, sizeof(line),
-                "workers    : %.3f s busy  (%.1f%% utilization)\n",
-                worker_busy_s, worker_utilization * 100.0);
+                "workers    : %.3f s busy  (%.1f%% utilization); "
+                "%zu bins decoded by submit() on arrival, not in busy time\n",
+                worker_busy_s, worker_utilization * 100.0,
+                total_arrival_steps);
   out += line;
   std::snprintf(line, sizeof(line),
                 "latency    : p50 %.3f ms  p99 %.3f ms  max %.3f ms  "

@@ -3,19 +3,31 @@
 //
 // Scheduling model (run-to-ready, one owner per scheduling unit).  A unit
 // is either one solo session or one BatchGroup; both take the same path:
-//  * submit() enqueues a bin into the session's bounded queue.  If the
-//    session's unit is not currently scheduled, it is marked scheduled and
-//    queued for decoding.
+//  * submit() enqueues a bin into the session's bounded queue, then, under
+//    mu_, looks at the session's unit.  The `scheduled` flag marks a unit
+//    that has an owner (a thread running it, or a queued job); whoever
+//    sets it owns the unit until the same run clears it.
+//  * Decode on arrival.  In pool mode, a solo session whose unit is idle
+//    (not scheduled) and whose filter already holds its prepared gain
+//    (Session::arrival_ready: healthy, not degraded or quarantined) is run
+//    by submit() itself: it marks the unit scheduled and runs one bin, the
+//    ~3 µs correction, on the calling thread before it returns.  The
+//    producer pays about one correction; the bin never waits for a worker
+//    (the paper's Fig. 3b measurement datapath).
+//  * Every other bin — unprepared, its precompute queued or running, a
+//    degraded or quarantined session, a group, and every manual-mode
+//    server (so a cluster's shards and poll() counts are unchanged) — marks
+//    an idle unit scheduled and queues it for decoding.
 //  * One ready structure with two priorities holds the scheduled units
 //    waiting for a worker: units with bins to decode, and idle units whose
 //    next gain can be precomputed.  Pool workers and manual-mode poll()
 //    (which runs one unit on the calling thread — deterministic tests,
-//    single-threaded embedding) take from it alike, decode units first, so
-//    a queued bin only ever waits behind precompute work already running.
-//  * The worker body steps the unit for one quantum (up to max_batch bins,
-//    or rounds of one bin per member for a group), then either re-queues
-//    it (more bins arrived meanwhile), queues its precompute, or clears the
-//    scheduled flag.  At most one worker ever owns a given unit, so
+//    single-threaded embedding) take from it alike, decode units first.
+//  * The unit body — run(), for worker, poll() and arrival alike — steps
+//    the unit for one quantum (up to max_batch bins, rounds of one bin per
+//    member for a group, one bin on arrival), then either re-queues it
+//    (more bins arrived meanwhile), queues its precompute, or clears the
+//    scheduled flag.  At most one thread ever owns a given unit, so
 //    per-session decode order — and the decoded trajectory — is exactly the
 //    single-threaded result, bit for bit.
 //  * Precompute (docs/serving.md): the measurement-independent half of a
@@ -26,7 +38,7 @@
 //    group extends its schedule to its member's next iteration; a larger
 //    group precomputes nothing.  A bin arriving while the precompute still
 //    waits promotes the unit to a decode; one arriving while it runs is
-//    decoded right after it.
+//    decoded by a worker right after it.
 //
 // Batched serving (docs/serving.md): with ServerOptions::batching on,
 // sessions admitted with equal FilterConfigs (health disabled) share a
@@ -113,7 +125,10 @@ class DecodeServer {
   // is non-null, why.  Never throws for invalid configs.
   SessionId open_session(SessionConfig config, Status* status = nullptr);
 
-  // Enqueue one measurement bin for decoding.
+  // Enqueue one measurement bin for decoding.  In pool mode, a bin whose
+  // solo session is idle with its gain prepared is decoded on the calling
+  // thread before this returns (see the scheduling model above).  A bin
+  // whose size is not the session's z_dim is refused (kRejectedInvalid).
   PushResult submit(SessionId id, Vector<double> z);
 
   // Stop accepting bins for the session.  kDrain (default): already-queued
@@ -172,8 +187,9 @@ class DecodeServer {
 
   // Fully remove a session (migration hand-off: its state now lives on
   // another shard).  Manual-mode servers only, and the caller must have
-  // quiesced poll() calls; with a thread pool a scheduled session cannot be
-  // safely removed and this returns false.
+  // quiesced poll() calls; with a thread pool a scheduled session (a worker
+  // or a submit() on arrival owns it) cannot be safely removed and this
+  // returns false.
   bool remove_session(SessionId id);
 
   // Current queued-bin total across sessions (O(sessions); the cluster's
@@ -199,8 +215,9 @@ class DecodeServer {
     bool prepare_queued = false;  // waiting in prepare_, not yet started
   };
 
-  // What a worker does with the unit it takes.
-  enum class Job { kDecode, kPrepare };
+  // What the owner of a unit does with it: a decode quantum, a
+  // precompute, or one bin decoded by submit() on the submitting thread.
+  enum class Job { kDecode, kPrepare, kArrival };
 
   struct Slot {
     std::shared_ptr<Session> session;
@@ -230,16 +247,18 @@ class DecodeServer {
   // (decodes first; `decode_only` leaves precomputes queued) and run it.
   // Returns bins consumed.
   std::size_t run_next(bool decode_only);
-  // Run one unit's job: a decode quantum, or its precompute (turned into a
-  // decode when bins arrived meanwhile), then re-queue or park it.
+  // Run one unit's job: a decode quantum, an arrival's one bin, or its
+  // precompute (turned into a decode when bins arrived meanwhile), then
+  // re-queue or park it.  The caller owns the unit (set `scheduled`).
   std::size_t run(const std::shared_ptr<Unit>& unit, Job job);
   // mu_ held: whether the unit's next decode can be precomputed.
   bool wants_prepare_locked(const Unit& unit) const;
-  // Time one quantum (a decode, or a precompute when `prepare`) and fold it
-  // into the busy-time tally plus the kalmmind.serve.worker_busy_us_total
-  // counter.
+  // Step one quantum of `job`.  A worker's quantum (decode or precompute)
+  // is timed into the busy-time tally plus the
+  // kalmmind.serve.worker_busy_us_total counter; an arrival's bin is
+  // counted in arrival_steps_ instead.
   BatchGroup::StepResult step_timed(Session* session, BatchGroup* group,
-                                    bool prepare);
+                                    Job job);
   // mu_ held: give each ejected member a solo unit (scheduled if it has
   // pending bins), then erase `group` if it emptied.
   void handle_ejections_locked(const std::shared_ptr<BatchGroup>& group,
@@ -250,7 +269,8 @@ class DecodeServer {
   std::unique_ptr<ThreadPool> pool_;  // null in manual mode
   LatencyRecorder latency_;
   std::chrono::steady_clock::time_point start_;
-  std::atomic<std::uint64_t> busy_us_{0};  // summed batch wall time
+  std::atomic<std::uint64_t> busy_us_{0};  // summed pool-worker wall time
+  std::atomic<std::size_t> arrival_steps_{0};  // bins run by submit()
   mutable kalman::GainScheduleCache cache_;
 
   mutable std::mutex mu_;

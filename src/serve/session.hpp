@@ -123,6 +123,7 @@ enum class PushResult {
   kDroppedOldest,     // accepted, but an older bin was evicted to make room
   kUnknownSession,    // no such session / session closed
   kRejectedOverload,  // cluster admission control bounced the bin
+  kRejectedInvalid,   // the bin's size is not the session's z_dim
 };
 
 // Status view of a submit outcome.  Queue-full and admission rejections are
@@ -139,6 +140,9 @@ enum class PushResult {
       return Status::Overloaded("serve: shard over admission watermark");
     case PushResult::kUnknownSession:
       return Status::Invalid("serve: unknown or closed session");
+    case PushResult::kRejectedInvalid:
+      return Status::Invalid(
+          "serve: measurement size is not the session's z_dim");
   }
   return Status::Invalid("serve: unrecognized push result");
 }
@@ -334,6 +338,16 @@ class Session {
   bool wants_prepare() const {
     if (batched() || !decodes_next()) return false;
     return !filter_.prepared() && !filter_.health().fallback_active;
+  }
+
+  // Whether the next bin would run only its prepared correction: a healthy
+  // session (not degraded, quarantined or failed) whose filter holds a
+  // prepared half — which only a solo session's ever does.  Consumer side,
+  // or any thread while no consumer owns the session (DecodeServer asks
+  // with the unit unscheduled).
+  bool arrival_ready() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return state_ == SessionState::kHealthy && filter_.prepared();
   }
 
   std::size_t queue_depth() const {

@@ -1,12 +1,12 @@
 // Serving telemetry: per-step latency aggregation and the snapshot structs
 // DecodeServer::stats() returns.
 //
-// Latencies are wall-clock seconds per decoded bin, recorded by the worker
-// that decoded it: the arrival path only (a gain precomputed before the bin
-// arrived is not in it; one computed on arrival is).  The recorder keeps a
-// bounded sample buffer (uniform-ish replacement once full) so a
-// long-running server does not grow without bound; p50/p99 are computed on
-// snapshot.
+// Latencies are wall-clock seconds per decoded bin, recorded by the thread
+// that decoded it (a pool worker, or submit() on arrival): the arrival path
+// only (a gain precomputed before the bin arrived is not in it; one
+// computed on arrival is).  The recorder keeps a bounded sample buffer
+// (uniform-ish replacement once full) so a long-running server does not
+// grow without bound; p50/p99 are computed on snapshot.
 #pragma once
 
 #include <algorithm>
@@ -169,8 +169,12 @@ struct ServerStats {
   std::size_t queued = 0;               // pending bins across all sessions
   double uptime_s = 0.0;
   double steps_per_second = 0.0;        // total_steps / uptime
-  double worker_busy_s = 0.0;           // summed wall time inside batches
+  double worker_busy_s = 0.0;           // summed pool-worker wall time
   double worker_utilization = 0.0;      // busy / (uptime * workers)
+  // Bins consumed by submit() on the submitting thread (a prepared bin
+  // that found its unit idle, docs/serving.md); their time is not in
+  // worker_busy_s.
+  std::size_t total_arrival_steps = 0;
   // Self-healing rollup (docs/robustness.md).
   std::size_t degraded_sessions = 0;
   std::size_t quarantined_sessions = 0;

@@ -302,6 +302,53 @@ TEST(KalmanHealthTest, LadderDeescalatesAfterConsecutiveHealthySteps) {
   for (std::size_t n = 4; n < zs.size(); ++n) expect_finite(filter.step(zs[n]), n);
 }
 
+TEST(KalmanHealthTest, RepairedProbeFailureIsCountedButDoesNotClimb) {
+  // A probe limit no approximation meets: every approximation step fails
+  // the Newton probe and is repaired by a forced calculation in the same
+  // step.  That fault is counted but climbs no rung, so only the three
+  // saturated bins 12-14 climb: rungs 1, 2, 3 — never the SSKF fallback.
+  const auto model = testing::small_model(6);
+  auto zs = testing::simulate_measurements(model, 20, 3);
+  for (std::size_t n = 12; n < 15; ++n) {
+    for (std::size_t i = 0; i < zs[n].size(); ++i) zs[n][i] = 1e7;
+  }
+  FilterOptions opts;
+  opts.health.enabled = true;
+  opts.health.newton_residual_limit = 1e-12;
+  opts.health.max_state_abs = 50.0;
+  opts.health.deescalate_after = 1;
+  const StrategySpec spec = StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=4,approx=2,policy=1)");
+  KalmanFilter<double> filter(model, make_inverse_strategy<double>(spec),
+                              opts);
+
+  std::size_t probe_failures = 0;
+  for (std::size_t n = 0; n < 12; ++n) {
+    expect_finite(filter.step(zs[n]), n);
+    const bool failed = filter.health().has(HealthFault::kResidualGrowth);
+    // calc_freq=4: every bin off the calculation cadence approximates.
+    EXPECT_EQ(failed, n % 4 != 0) << "bin " << n;
+    probe_failures += failed;
+    EXPECT_EQ(filter.health().escalation_level, 0u) << "bin " << n;
+  }
+  EXPECT_TRUE(filter.health().has(HealthFault::kResidualGrowth));  // bin 11
+  EXPECT_EQ(filter.health().faulty_steps, probe_failures);
+  // One forced calculation per probe failure: the repair itself, and no
+  // rung-1 climb forcing a second one on the next bin.
+  EXPECT_EQ(filter.health().total(RecoveryAction::kForceCalculation),
+            probe_failures);
+
+  for (std::size_t n = 12; n < 15; ++n) {
+    expect_finite(filter.step(zs[n]), n);
+    EXPECT_TRUE(filter.health().has(HealthFault::kStateExploded))
+        << "bin " << n;
+    EXPECT_EQ(filter.health().escalation_level, n - 11) << "bin " << n;
+  }
+  EXPECT_EQ(filter.health().total(RecoveryAction::kCovarianceReset), 1u);
+  EXPECT_EQ(filter.health().total(RecoveryAction::kSskfFallback), 0u);
+  EXPECT_FALSE(filter.health().fallback_active);
+}
+
 #if defined(KALMMIND_FAULTS)
 
 TEST(KalmanHealthTest, NanSpikeSkipsMeasurementAndReconverges) {

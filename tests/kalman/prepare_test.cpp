@@ -208,9 +208,9 @@ TEST(PrepareTest, FailingProbeIsRecordedOnArrivalAndForgottenOnADrop) {
   filter.step(zs[1]);
   plain.step(zs[1]);
   EXPECT_TRUE(filter.health().has(HealthFault::kResidualGrowth));
-  // One for the same-step repair, one for the ladder's rung 1 that the
-  // residual fault then climbs.
-  EXPECT_EQ(filter.health().total(RecoveryAction::kForceCalculation), 2u);
+  // Only the same-step repair: a repaired residual fault climbs no rung.
+  EXPECT_EQ(filter.health().total(RecoveryAction::kForceCalculation), 1u);
+  EXPECT_EQ(filter.health().escalation_level, 0u);
   expect_same_health(filter.health(), plain.health(), "after the repair");
   EXPECT_EQ(filter.last_inverse_event().path, InversePath::kCalculation);
 }

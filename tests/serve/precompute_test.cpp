@@ -49,9 +49,8 @@ std::vector<Vector<double>> sequential(const SessionConfig& cfg,
 
 // A health-gated solo session whose Newton probe fails on every
 // approximation (each one is repaired by a forced calculation inside the
-// prepared half).  The fault climbs the ladder one rung; the calculation
-// step that follows is healthy and brings it back down, so only runs of
-// exploding states climb further.
+// prepared half).  The repaired fault is counted but climbs no rung, so
+// only runs of exploding states climb the ladder.
 SessionConfig gated_config(const kalman::KalmanModel<double>& model) {
   SessionConfig cfg;
   cfg.filter.model = model;
